@@ -18,7 +18,6 @@ from .convergence import (
     preserves,
 )
 from .errors import (
-    CheckpointImpossible,
     DslParseError,
     ExhaustedIndices,
     HorizonCapExceeded,

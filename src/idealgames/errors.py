@@ -34,10 +34,6 @@ class OracleViolation(IdealGamesError):
     """A refinement oracle returned something that is not a sub-cylinder."""
 
 
-class CheckpointImpossible(IdealGamesError):
-    """Completing a permutation prefix would violate distinctness."""
-
-
 class SteeringStuck(IdealGamesError):
     """No unused sequence element lands in the admissible steering window."""
 

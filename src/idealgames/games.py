@@ -4,6 +4,8 @@ Player I plays cofinite sets [c_k, oo); Player II answers with finite sets
 F_k inside them; Player II wins when the union of the F_k avoids the ideal.
 The builders interleave the game with cylinder refinement to produce
 explicit subsequences, permutations, and steered series rearrangements.
+The sigma-game, pi-game and series builders share one round loop,
+``_run_rounds``, and differ only in how they fill, close and score a stem.
 
 Move sets are stored as disjoint half-open blocks [lo, hi) because interval
 strategies legitimately play blocks far too wide to materialize.  All index
@@ -26,6 +28,7 @@ from .errors import (
     OracleViolation,
     SteeringStuck,
 )
+from .periodic import merge_blocks
 
 Blocks = tuple[tuple[int, int], ...]
 
@@ -36,26 +39,12 @@ def blocks_from_values(values) -> Blocks:
     return merge_blocks([(v, v + 1) for v in values])
 
 
-def merge_blocks(blocks) -> Blocks:
-    out: list[tuple[int, int]] = []
-    for lo, hi in sorted((lo, hi) for lo, hi in blocks if hi > lo):
-        if out and lo <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return tuple(out)
-
-
 def blocks_union(a: Blocks, b: Blocks) -> Blocks:
     return merge_blocks(list(a) + list(b))
 
 
 def blocks_size(blocks: Blocks) -> int:
     return sum(hi - lo for lo, hi in blocks)
-
-
-def blocks_contain(blocks: Blocks, n: int) -> bool:
-    return any(lo <= n < hi for lo, hi in blocks)
 
 
 def blocks_to_setexpr(blocks: Blocks) -> sx.SetExpr:
@@ -221,7 +210,6 @@ class RandomJumpPlayerI(PlayerI):
 
 class PlayerII:
     name = "player-ii"
-    declares_tail = False
 
     def __call__(self, rounds: tuple[Round, ...], k: int, c: int) -> Move:
         raise NotImplementedError
@@ -242,18 +230,12 @@ class TalagrandPlayerII(PlayerII):
     witness blocks cannot lie in the ideal.
     """
 
-    declares_tail = True
-
     def __init__(self, witness: il.TalagrandWitness):
         self.witness = witness
         self.name = f"talagrand:{witness.gen.name}"
 
     def __call__(self, rounds, k, c):
-        used = {
-            r.note["block_index"]
-            for r in rounds
-            if r.note and "block_index" in r.note
-        }
+        used = set(_block_indices(rounds))
         j = self.witness.gen.first_index_at_least(max(c, 1))
         while j in used:
             j += 1
@@ -298,12 +280,22 @@ def play_laflamme(
         union = blocks_union(union, blocks)
         prev_c = c
     verdict = _game_verdict(ideal, played, union, strat_ii)
+    return _transcript("game", ideal.kind, played, union, verdict, config)
+
+
+_NO_ROUNDS = il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
+
+
+def _transcript(mode, ideal_kind, played, union, verdict, config,
+                stem=None, space=None) -> Transcript:
     return Transcript(
-        mode="game",
-        ideal=ideal.kind,
+        mode=mode,
+        ideal=ideal_kind,
         rounds=tuple(played),
         union_blocks=union,
         verdict=verdict,
+        stem=stem,
+        space=space,
         config=config or {},
     )
 
@@ -311,20 +303,28 @@ def play_laflamme(
 def _game_verdict(
     ideal: il.Ideal, played: list[Round], union: Blocks, strat_ii: PlayerII
 ) -> il.Verdict:
-    if not played:
-        return il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-    if strat_ii.declares_tail and isinstance(strat_ii, TalagrandPlayerII):
-        js = sorted(
-            r.note["block_index"]
-            for r in played
-            if r.note and "block_index" in r.note
-        )
-        selector: sx.SetExpr = sx.Tail(js[-1] + 1) if js else sx.Tail(1)
-        if js:
-            selector = sx.Union(sx.Finite(tuple(js)), selector)
-        schedule = sx.IntervalSchedule(strat_ii.witness.gen, selector)
-        return il.classify_symbolic(ideal, schedule)
-    return il.classify(ideal, blocks_to_setexpr(union))
+    if played and isinstance(strat_ii, TalagrandPlayerII):
+        return _blocks_verdict(ideal, strat_ii.witness, _block_indices(played))
+    return _union_verdict(ideal, played, union)
+
+
+def _blocks_verdict(ideal: il.Ideal, witness: il.TalagrandWitness, js) -> il.Verdict:
+    """Symbolic verdict on the witness blocks js plus every later block."""
+    selector: sx.SetExpr = sx.Tail(js[-1] + 1) if js else sx.Tail(1)
+    if js:
+        selector = sx.Union(sx.Finite(tuple(js)), selector)
+    return il.classify_symbolic(ideal, sx.IntervalSchedule(witness.gen, selector))
+
+
+def _union_verdict(ideal: il.Ideal, played, union: Blocks) -> il.Verdict:
+    return il.classify(ideal, blocks_to_setexpr(union)) if played else _NO_ROUNDS
+
+
+def _block_indices(rounds) -> list[int]:
+    """Sorted witness-block indices that Player II's moves have claimed."""
+    return sorted(
+        r.note["block_index"] for r in rounds if r.note and "block_index" in r.note
+    )
 
 
 def talagrand_strategy(witness: il.TalagrandWitness) -> TalagrandPlayerII:
@@ -411,16 +411,7 @@ class IntervalHitOracle(DenseOpenOracle):
         j = 1
         while self.witness.iota(j) <= len(stem):
             j += 1
-        lo, hi = self.witness.block(j)
-        last = stem[-1] if stem else 0
-        while len(stem) < lo - 1:
-            last += 1
-            stem.append(last)
-        for _ in range(lo, hi):
-            last = _next_index(
-                lambda i: self.ball.contains(self.x.term(i)), last, self.index_cap
-            )
-            stem.append(last)
+        _steer_block(stem, self.witness.block(j), self.x, self.ball, self.index_cap)
         return sq.Cylinder(sq.Space.SIGMA, tuple(stem))
 
 
@@ -451,6 +442,21 @@ def _next_index(pred, after: int, cap: int) -> int:
     raise ExhaustedIndices(f"no admissible index in ({after}, {cap}]")
 
 
+def _steer_block(stem: list[int], block: tuple[int, int], x, ball: Ball,
+                 index_cap: int) -> None:
+    """Pad the stem with consecutive indices up to position lo - 1, then
+    fill positions [lo, hi) with increasing indices whose terms lie in the
+    ball."""
+    lo, hi = block
+    last = stem[-1] if stem else 0
+    while len(stem) < lo - 1:
+        last += 1
+        stem.append(last)
+    for _ in range(lo, hi):
+        last = _next_index(lambda i: ball.contains(x.term(i)), last, index_cap)
+        stem.append(last)
+
+
 # ---------------------------------------------------------------------------
 # Generic subsequence builder, witness mode
 
@@ -479,16 +485,8 @@ def build_subseq_witness(
     union: Blocks = ()
     for k in range(1, rounds + 1):
         eta, m = pairs[(k - 1) % len(pairs)]
-        lo, hi = witness.block(k)
-        last = stem[-1] if stem else 0
-        while len(stem) < lo - 1:  # positions below the first block
-            last += 1
-            stem.append(last)
-        ball = Ball.of(eta, Fraction(1, m))
-        for _ in range(lo, hi):
-            last = _next_index(lambda i: ball.contains(x.term(i)), last, index_cap)
-            stem.append(last)
-        block = ((lo, hi),)
+        block = (witness.block(k),)
+        _steer_block(stem, block[0], x, Ball.of(eta, Fraction(1, m)), index_cap)
         played.append(
             Round(
                 k,
@@ -498,38 +496,52 @@ def build_subseq_witness(
             )
         )
         union = blocks_union(union, block)
-    if not played:
-        verdict = il.Verdict(
-            il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played"
-        )
-    else:
-        selector = sx.Union(
-            sx.Finite(tuple(range(1, rounds + 1))), sx.Tail(rounds + 1)
-        )
-        schedule = sx.IntervalSchedule(witness.gen, selector)
-        verdict = il.classify_symbolic(ideal, schedule)
-    return Transcript(
-        mode="sigma-witness",
-        ideal=ideal.kind,
-        rounds=tuple(played),
-        union_blocks=union,
-        verdict=verdict,
-        stem=tuple(stem),
-        space="sigma",
-        config=config or {},
-    )
+    js = range(1, rounds + 1)  # block k was steered in round k
+    verdict = _blocks_verdict(ideal, witness, js) if played else _NO_ROUNDS
+    return _transcript("sigma-witness", ideal.kind, played, union, verdict,
+                       config, tuple(stem), "sigma")
 
 
 # ---------------------------------------------------------------------------
 # Generic builders, game mode
 
 
-def _fill_increasing(stem, upto, in_set, last, index_cap):
-    """Extend positions len(stem)+1 .. upto-1 with increasing in_set indices."""
-    while len(stem) < upto - 1:
-        last = _next_index(in_set, last, index_cap)
-        stem.append(last)
-    return last
+def _run_rounds(space, rounds, c_at, fill, oracles, close, hit, note):
+    """The round loop shared by the game-mode builders.
+
+    Round k: Player I's c_k, ``fill(stem, c_k)`` up to position c_k - 1,
+    cylinder A_k, the oracle's refinement B_k of A_k, ``close(B_k)``, and
+    the move F_k = {n in [c_k, |B_k|] : hit(B_k.stem, n)}.  Returns the
+    final stem, the rounds and the union of the moves.
+    """
+    stem: list[int] = []
+    played: list[Round] = []
+    union: Blocks = ()
+    prev_c = 0
+    for k in range(1, rounds + 1):
+        c = c_at(tuple(played), k)
+        if c < prev_c:
+            raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
+        fill(stem, c)
+        a_cyl = sq.Cylinder(space, tuple(stem))
+        b_cyl = oracles[k - 1].refine(a_cyl)
+        if b_cyl.space is not space or not b_cyl.extends(a_cyl):
+            raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
+        b_cyl = close(b_cyl)
+        stem = list(b_cyl.stem)
+        blocks = blocks_from_values(
+            n for n in range(c, len(stem) + 1) if hit(b_cyl.stem, n)
+        )
+        played.append(
+            Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem, note=note(c, b_cyl))
+        )
+        union = blocks_union(union, blocks)
+        prev_c = c
+    return tuple(stem), played, union
+
+
+def _window_note(c: int, b_cyl: sq.Cylinder) -> dict:
+    return {"m_B": b_cyl.m, "window": [c, b_cyl.m]}
 
 
 def build_subseq_game(
@@ -553,48 +565,18 @@ def build_subseq_game(
     the window's hit set in the final subsequence.
     """
     in_e = lambda i: not ball.contains(x.term(i))
-    stem: list[int] = []
-    played: list[Round] = []
-    union: Blocks = ()
-    prev_c = 0
-    for k in range(1, rounds + 1):
-        c = strat_i(tuple(played), k)
-        if c < prev_c:
-            raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
-        last = stem[-1] if stem else 0
-        last = _fill_increasing(stem, c, in_e, last, index_cap)
-        a_cyl = sq.Cylinder(sq.Space.SIGMA, tuple(stem))
-        b_cyl = oracles[k - 1].refine(a_cyl)
-        if b_cyl.space is not sq.Space.SIGMA or not b_cyl.extends(a_cyl):
-            raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
-        stem = list(b_cyl.stem)
-        hits = [
-            n
-            for n in range(c, len(stem) + 1)
-            if ball.contains(x.term(stem[n - 1]))
-        ]
-        blocks = blocks_from_values(hits)
-        played.append(
-            Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem,
-                  note={"m_B": b_cyl.m, "window": [c, b_cyl.m]})
-        )
-        union = blocks_union(union, blocks)
-        prev_c = c
-    verdict = (
-        il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-        if not played
-        else il.classify(ideal, blocks_to_setexpr(union))
+
+    def fill(stem, c):
+        while len(stem) < c - 1:
+            stem.append(_next_index(in_e, stem[-1] if stem else 0, index_cap))
+
+    stem, played, union = _run_rounds(
+        sq.Space.SIGMA, rounds, strat_i, fill, oracles, lambda b_cyl: b_cyl,
+        lambda stem, n: ball.contains(x.term(stem[n - 1])), _window_note,
     )
-    return Transcript(
-        mode=mode,
-        ideal=ideal.kind,
-        rounds=tuple(played),
-        union_blocks=union,
-        verdict=verdict,
-        stem=tuple(stem),
-        space="sigma",
-        config=config or {},
-    )
+    verdict = _union_verdict(ideal, played, union)
+    return _transcript(mode, ideal.kind, played, union, verdict, config,
+                       stem, "sigma")
 
 
 def build_perm_game(
@@ -611,61 +593,29 @@ def build_perm_game(
     gaps, and every refined cylinder is closed into a permutation of an
     initial segment before the move is extracted (the checkpoint rule)."""
     in_e = lambda i: not ball.contains(x.term(i))
-    stem: list[int] = []
-    used: set[int] = set()
-    played: list[Round] = []
-    union: Blocks = ()
-    prev_c = 0
-    for k in range(1, rounds + 1):
-        c = strat_i(tuple(played), k)
-        if c < prev_c:
-            raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
+
+    def fill(stem, c):
+        used = set(stem)
         while len(stem) < c - 1:
             e = _next_index(lambda i: i not in used and in_e(i), 0, index_cap)
             stem.append(e)
             used.add(e)
-        a_cyl = sq.Cylinder(sq.Space.PI, tuple(stem))
-        b_cyl = oracles[k - 1].refine(a_cyl)
-        if b_cyl.space is not sq.Space.PI or not b_cyl.extends(a_cyl):
-            raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
-        stem = list(b_cyl.stem)
-        used = set(stem)
+
+    def close(b_cyl):
         # Close the prefix into a permutation of {1..max}: the checkpoint.
-        top = max(stem, default=0)
-        for v in range(1, top + 1):
-            if v not in used:
-                stem.append(v)
-                used.add(v)
-        checkpoint = len(stem)
-        b_closed = sq.Cylinder(sq.Space.PI, tuple(stem))
-        hits = [
-            n
-            for n in range(c, checkpoint + 1)
-            if ball.contains(x.term(stem[n - 1]))
-        ]
-        blocks = blocks_from_values(hits)
-        played.append(
-            Round(k, c, blocks, A=a_cyl.stem, B=b_closed.stem,
-                  note={"m_B": b_closed.m, "checkpoint": checkpoint,
-                        "window": [c, b_closed.m]})
-        )
-        union = blocks_union(union, blocks)
-        prev_c = c
-    verdict = (
-        il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-        if not played
-        else il.classify(ideal, blocks_to_setexpr(union))
+        used = set(b_cyl.stem)
+        missing = tuple(v for v in range(1, b_cyl.m + 1) if v not in used)
+        return sq.Cylinder(sq.Space.PI, b_cyl.stem + missing)
+
+    stem, played, union = _run_rounds(
+        sq.Space.PI, rounds, strat_i, fill, oracles, close,
+        lambda stem, n: ball.contains(x.term(stem[n - 1])),
+        lambda c, b_cyl: {"m_B": b_cyl.m, "checkpoint": len(b_cyl.stem),
+                          "window": [c, b_cyl.m]},
     )
-    return Transcript(
-        mode="pi-game",
-        ideal=ideal.kind,
-        rounds=tuple(played),
-        union_blocks=union,
-        verdict=verdict,
-        stem=tuple(stem),
-        space="pi",
-        config=config or {},
-    )
+    verdict = _union_verdict(ideal, played, union)
+    return _transcript("pi-game", ideal.kind, played, union, verdict, config,
+                       stem, "pi")
 
 
 # ---------------------------------------------------------------------------
@@ -727,12 +677,9 @@ def steer_series(
         raise ValueError("c-schedule shorter than the number of rounds")
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidMove("c-schedule must increase strictly")
-    stem: list[int] = []
     sums: list[Fraction] = [Fraction(0)]  # sums[n] = S_n, sums[0] = 0
-    played: list[Round] = []
-    union: Blocks = ()
-    for k in range(1, rounds + 1):
-        c = schedule[k - 1]
+
+    def fill(stem, c):
         last = stem[-1] if stem else 0
         while len(stem) < c - 1:
             s = sums[-1]
@@ -745,44 +692,27 @@ def steer_series(
                 raise SteeringStuck(str(exc)) from exc
             stem.append(last)
             sums.append(s + Fraction(x.term(last)))
-        a_cyl = sq.Cylinder(sq.Space.SIGMA, tuple(stem))
-        if oracles is None:
-            b_cyl = a_cyl
-        else:
-            b_cyl = oracles[k - 1].refine(a_cyl)
-            if b_cyl.space is not sq.Space.SIGMA or not b_cyl.extends(a_cyl):
-                raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
-            stem = list(b_cyl.stem)
-            while len(sums) < len(stem) + 1:
-                sums.append(sums[-1] + Fraction(x.term(stem[len(sums) - 1])))
-        exceed = [n for n in range(c, len(stem) + 1) if abs(sums[n]) >= 1]
-        blocks = blocks_from_values(exceed)
-        played.append(
-            Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem,
-                  note={"m_B": b_cyl.m, "window": [c, b_cyl.m],
-                        "sum": str(sums[-1])})
-        )
-        union = blocks_union(union, blocks)
-    verdict = (
-        il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-        if not played
-        else il.Verdict(
-            il.VerdictValue.IN if not union else il.VerdictValue.UNDECIDED,
-            "Symbolic" if not union else f"Horizon({len(stem)})",
-            "no exceedances recorded" if not union
-            else f"exceedances={blocks_size(union)}",
-        )
+
+    def close(b_cyl):
+        for i in b_cyl.stem[len(sums) - 1:]:
+            sums.append(sums[-1] + Fraction(x.term(i)))
+        return b_cyl
+
+    stem, played, union = _run_rounds(
+        sq.Space.SIGMA, rounds, lambda played, k: schedule[k - 1], fill,
+        [TrivialOracle()] * rounds if oracles is None else oracles, close,
+        lambda stem, n: abs(sums[n]) >= 1,
+        lambda c, b_cyl: {**_window_note(c, b_cyl), "sum": str(sums[-1])},
     )
-    return Transcript(
-        mode="series",
-        ideal=None,
-        rounds=tuple(played),
-        union_blocks=union,
-        verdict=verdict,
-        stem=tuple(stem),
-        space="sigma",
-        config=config or {},
-    )
+    if not played:
+        verdict = _NO_ROUNDS
+    elif not union:
+        verdict = il.Verdict(il.VerdictValue.IN, "Symbolic", "no exceedances recorded")
+    else:
+        verdict = il.Verdict(il.VerdictValue.UNDECIDED, f"Horizon({len(stem)})",
+                             f"exceedances={blocks_size(union)}")
+    return _transcript("series", None, played, union, verdict, config,
+                       stem, "sigma")
 
 
 # ---------------------------------------------------------------------------

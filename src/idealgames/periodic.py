@@ -15,6 +15,7 @@ layer in :mod:`idealgames.ideals`.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,10 +30,10 @@ class TooComplex(Exception):
     """Normal form would exceed the configured size guards."""
 
 
-def _merge_blocks(blocks: list[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    blocks = sorted((lo, hi) for lo, hi in blocks if hi > lo)
+def merge_blocks(blocks: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Sorted disjoint half-open blocks covering the same integers."""
     out: list[tuple[int, int]] = []
-    for lo, hi in blocks:
+    for lo, hi in sorted((lo, hi) for lo, hi in blocks if hi > lo):
         if out and lo <= out[-1][1]:
             out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
@@ -162,7 +163,7 @@ def _rebase(p: Periodic, period: int, threshold: int) -> Periodic:
                 run_start = None
         if run_start is not None:
             blocks.append((run_start, threshold))
-    merged = _merge_blocks(blocks)
+    merged = merge_blocks(blocks)
     if len(merged) > MAX_BLOCKS:
         raise TooComplex("too many blocks")
     return Periodic(period, residues, threshold, merged)
@@ -177,7 +178,7 @@ def _combine(a: Periodic, b: Periodic, op: str) -> Periodic:
     rb = _rebase(b, period, threshold)
     if op == "union":
         residues = ra.residues | rb.residues
-        blocks = _merge_blocks(list(ra.blocks) + list(rb.blocks))
+        blocks = merge_blocks(list(ra.blocks) + list(rb.blocks))
     else:
         residues = ra.residues & rb.residues
         blocks = tuple(_intersect_blocks(ra.blocks, rb.blocks))
@@ -201,7 +202,7 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     if sel.is_finite:
         # Finite union of concrete generator blocks, kept as ranges so the
         # values may be astronomically large without expansion.
-        blocks = _merge_blocks(
+        blocks = merge_blocks(
             [(s.gen.value(j), s.gen.value(j + 1)) for j in _selected_below_threshold(sel)]
         )
         threshold = blocks[-1][1] if blocks else 1
@@ -209,7 +210,7 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     if sel.is_cofinite:
         # Consecutive generator blocks tile, so the selection covers a full
         # tail of N starting at value(sel.threshold).
-        blocks = _merge_blocks(
+        blocks = merge_blocks(
             [(s.gen.value(j), s.gen.value(j + 1)) for j in _selected_below_threshold(sel)]
         )
         return Periodic(1, frozenset({0}), s.gen.value(sel.threshold), blocks)
@@ -226,7 +227,7 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
             for off in range(a):
                 residues.add((base + off) % period)
     threshold = max(1, a * sel.threshold + b)
-    blocks = _merge_blocks(
+    blocks = merge_blocks(
         [
             (max(1, a * j + b), a * j + a + b)
             for j in _selected_below_threshold(sel)
@@ -242,7 +243,7 @@ def reduce(s: sx.SetExpr) -> Periodic | None:
     normal form would exceed the size guards.
     """
     if isinstance(s, sx.Finite):
-        blocks = _merge_blocks([(v, v + 1) for v in s.values])
+        blocks = merge_blocks([(v, v + 1) for v in s.values])
         threshold = blocks[-1][1] if blocks else 1
         return Periodic(1, frozenset(), threshold, blocks)
     if isinstance(s, sx.ArithProg):

@@ -14,7 +14,7 @@ import random
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import numpy as np
 
@@ -67,18 +67,18 @@ class TermRule:
             c = _as_fraction(self.value)
             return sx.Tail(1) if lo <= c <= hi else sx.Finite(())
         if self.kind == "ident":
-            lo_i = max(1, -((-lo.numerator) // lo.denominator))  # ceil(lo)
-            hi_i = hi.numerator // hi.denominator  # floor(hi)
+            lo_i = max(1, ceil(lo))
+            hi_i = floor(hi)
             if hi_i < lo_i:
                 return sx.Finite(())
             return sx.interval(lo_i, hi_i)
         if self.kind == "inv":
             if hi <= 0:
                 return sx.Finite(())
-            start = max(1, _ceil_frac(1 / hi))
+            start = max(1, ceil(1 / hi))
             if lo <= 0:
                 return sx.Tail(start)
-            stop = (1 / lo).numerator // (1 / lo).denominator  # floor(1/lo)
+            stop = floor(1 / lo)
             if stop < start:
                 return sx.Finite(())
             return sx.interval(start, stop)
@@ -105,10 +105,6 @@ class TermRule:
 
     def label(self) -> str:
         return str(self.value) if self.kind == "const" else self.kind
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 CONST_ZERO = TermRule("const", 0)

@@ -7,6 +7,7 @@ generators memoize their values behind a lock.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,10 +21,6 @@ from .errors import IdealGamesError
 E_EXACT = Fraction(
     "2.71828182845904523536028747135266249775724709369996"
 )
-
-
-def _ceil_frac(q: Fraction) -> int:
-    return -((-q.numerator) // q.denominator)
 
 
 class Generator:
@@ -141,7 +138,7 @@ register_generator(
 register_generator(
     Generator(
         "expE",
-        fn=lambda n: _ceil_frac(E_EXACT**n),
+        fn=lambda n: math.ceil(E_EXACT**n),
         min_ratio=1.9,
         interval_harmonic_lower=0.64,
     )
@@ -151,7 +148,7 @@ register_generator(
 register_generator(
     Generator(
         "esum",
-        step=lambda prev: _ceil_frac(E_EXACT * prev) + 1,
+        step=lambda prev: math.ceil(E_EXACT * prev) + 1,
         first=2,
         min_ratio=2.7,
         interval_harmonic_lower=1.0,
@@ -402,8 +399,3 @@ def prefix(s: SetExpr, limit: int) -> list[int]:
 def count(s: SetExpr, limit: int) -> int:
     """Number of members <= limit."""
     return int(indicator(s, limit).sum())
-
-
-def cumulative_counts(s: SetExpr, limit: int) -> np.ndarray:
-    """Array c with c[n] = count(s, n) for 0 <= n <= limit."""
-    return np.cumsum(indicator(s, limit))
