@@ -57,8 +57,10 @@ def default_ladder(eps: float, horizon: int, depth: int = 6) -> LadderSpec:
     return LadderSpec(eps, depth, splits)
 
 
-def _candidates(x: sq.SeqDescriptor, limit: int, eps: float) -> tuple[np.ndarray, float]:
-    vals = x.values(limit)[1:]
+def _candidates(
+    x: sq.SeqDescriptor, vals: np.ndarray, eps: float
+) -> tuple[np.ndarray, float]:
+    """Grid-snapped vals (x.values(limit)[1:]) plus x's special values."""
     pitch = eps / 2.0
     grid = np.unique(np.round(vals / pitch)) * pitch
     cands = list(grid)
@@ -81,7 +83,7 @@ def accumulation_points(
     """Candidates whose eps-ball captures at least min_hits terms."""
     _check_horizon(limit, eps)
     vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, limit, eps)
+    cands, _ = _candidates(x, vals, eps)
     kept = [
         float(c) for c in cands if int((np.abs(vals - c) <= eps).sum()) >= min_hits
     ]
@@ -125,7 +127,7 @@ def cluster_points(
     """Candidates whose eps-ball hit set avoids the ideal."""
     _check_horizon(limit, eps)
     vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, limit, eps)
+    cands, _ = _candidates(x, vals, eps)
     kept: list[float] = []
     undecided: list[float] = []
     for c in cands:
@@ -162,7 +164,7 @@ def limit_points(
         raise ValueError("ladder must end at the horizon")
     _check_horizon(limit, ladder.base_eps)
     vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, limit, ladder.base_eps)
+    cands, _ = _candidates(x, vals, ladder.base_eps)
     kept: list[float] = []
     undecided: list[float] = []
     for c in cands:

@@ -595,9 +595,12 @@ def build_perm_game(
     in_e = lambda i: not ball.contains(x.term(i))
 
     def fill(stem, c):
+        # Within one call `used` only grows, so an index rejected once stays
+        # rejected and each search resumes after the last value found.
         used = set(stem)
+        e = 0
         while len(stem) < c - 1:
-            e = _next_index(lambda i: i not in used and in_e(i), 0, index_cap)
+            e = _next_index(lambda i: i not in used and in_e(i), e, index_cap)
             stem.append(e)
             used.add(e)
 

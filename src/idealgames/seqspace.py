@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import random
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -344,12 +344,16 @@ class Subseq:
     stem: tuple[int, ...] = ()
     tail: str = "shift"
     tail_set: sx.SetExpr | None = None
+    _stem_arr: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if any(b <= a for a, b in zip(self.stem, self.stem[1:])):
+        arr = np.array(self.stem, dtype=np.int64)
+        if (np.diff(arr) <= 0).any():
             raise ValueError("subsequence stem must be strictly increasing")
-        if self.stem and self.stem[0] < 1:
+        if self.stem and arr[0] < 1:
             raise ValueError("indices start at 1")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_stem_arr", arr)
         if self.tail == "set" and self.tail_set is None:
             raise ValueError("tail 'set' needs a set expression")
 
@@ -374,7 +378,7 @@ class Subseq:
         """Array s with s[0] unused and s[n] the n-th index, n <= limit."""
         out = np.zeros(limit + 1, dtype=np.int64)
         k = min(len(self.stem), limit)
-        out[1 : k + 1] = self.stem[:k]
+        out[1 : k + 1] = self._stem_arr[:k]
         if limit > k:
             last = self.stem[k - 1] if k else 0
             if self.tail == "shift":
@@ -540,7 +544,13 @@ def sample_subseq(seed: int | random.Random, limit: int) -> Subseq:
     Identifying increasing index maps with binary expansions in (0, 1], this
     is exactly the pushforward of Lebesgue measure restricted to cylinders
     of horizon ``limit``; the discarded empty draw has probability 2**-limit.
+
+    Bit n-1 of the draw set means index n is included: the draw is written
+    out as little-endian bytes and unpacked little-endian, so array position
+    n-1 holds bit n-1.
     """
     bits = draw_inclusion_bits(seed, limit)
-    stem = tuple(n for n in range(1, limit + 1) if (bits >> (n - 1)) & 1)
+    raw = np.frombuffer(bits.to_bytes((limit + 7) // 8, "little"), dtype=np.uint8)
+    mask = np.unpackbits(raw, bitorder="little")[:limit]
+    stem = tuple((np.flatnonzero(mask) + 1).tolist())
     return Subseq(stem, "shift")
