@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ideals as il
 from . import seqspace as sq
-from .errors import HorizonTooSmall, OutsideFragment
+from .errors import OutsideFragment
 
 UNDECIDED_FLAG = "UndecidedDominates"
 
@@ -71,8 +71,7 @@ def _candidates(
 
 
 def _check_horizon(limit: int, eps: float) -> None:
-    if limit < 100:
-        raise HorizonTooSmall(f"horizon {limit} < 100")
+    il.check_horizon(limit)
     if eps <= 0:
         raise ValueError("eps must be positive")
 

@@ -410,10 +410,15 @@ def classify_horizon_counts(
     raise ValueError(ideal.kind)
 
 
-def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
-    """Finite-horizon membership verdict; honest Undecided when unsure."""
+def check_horizon(horizon: int) -> None:
+    """Raise HorizonTooSmall unless the horizon is at least 100."""
     if horizon < 100:
         raise HorizonTooSmall(f"horizon {horizon} < 100")
+
+
+def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
+    """Finite-horizon membership verdict; honest Undecided when unsure."""
+    check_horizon(horizon)
     ind = sx.indicator(s, horizon)
     tail_upper = None
     if ideal.kind == SUMMABLE:

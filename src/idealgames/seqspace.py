@@ -338,7 +338,9 @@ class Subseq:
     """Strictly increasing index map: explicit stem plus a tail rule.
 
     Tail "shift" continues with consecutive integers after the stem; tail
-    "set" continues along the members of an infinite set expression.
+    "set" continues along the members of an infinite set expression.  The
+    stem may be given as any integer sequence, such as an int64 array; it is
+    stored as a tuple of Python ints.
     """
 
     stem: tuple[int, ...] = ()
@@ -350,10 +352,12 @@ class Subseq:
         arr = np.array(self.stem, dtype=np.int64)
         if (np.diff(arr) <= 0).any():
             raise ValueError("subsequence stem must be strictly increasing")
-        if self.stem and arr[0] < 1:
+        if arr.size and arr[0] < 1:
             raise ValueError("indices start at 1")
         arr.setflags(write=False)
         object.__setattr__(self, "_stem_arr", arr)
+        if not isinstance(self.stem, tuple):
+            object.__setattr__(self, "stem", tuple(arr.tolist()))
         if self.tail == "set" and self.tail_set is None:
             raise ValueError("tail 'set' needs a set expression")
 
@@ -552,5 +556,4 @@ def sample_subseq(seed: int | random.Random, limit: int) -> Subseq:
     bits = draw_inclusion_bits(seed, limit)
     raw = np.frombuffer(bits.to_bytes((limit + 7) // 8, "little"), dtype=np.uint8)
     mask = np.unpackbits(raw, bitorder="little")[:limit]
-    stem = tuple((np.flatnonzero(mask) + 1).tolist())
-    return Subseq(stem, "shift")
+    return Subseq(np.flatnonzero(mask) + 1, "shift")

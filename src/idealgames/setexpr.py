@@ -77,28 +77,30 @@ class Generator:
                 self._memo.append(nxt)
             return self._memo[n - 1]
 
-    def values_through(self, limit: int) -> list[int]:
-        """All terms <= limit, plus the first term beyond it."""
+    def values_through(self, limit: int) -> np.ndarray:
+        """All terms <= limit, plus the first term beyond it, as int64.
+
+        Affine generators build the array in closed form; others walk the
+        memo, and a term past the int64 range raises OverflowError.
+        """
+        if self.affine is not None:
+            a, b = self.affine
+            return np.arange(a + b, max(limit, b) + a + 1, a, dtype=np.int64)
         vals: list[int] = []
         n = 1
         while True:
             v = self.value(n)
             vals.append(v)
             if v > limit:
-                return vals
+                return np.asarray(vals, dtype=np.int64)
             n += 1
 
     def index_of(self, m: int) -> int | None:
-        """Index j with value(j) <= m < value(j+1), or None if m < value(1)."""
-        if m < self.value(1):
-            return None
-        if self.affine is not None:
-            a, b = self.affine
-            return (m - b) // a
-        vals = self.values_through(m)
-        # vals[-1] > m >= vals[-2]
-        j = bisect.bisect_right(vals, m)
-        return j if j < len(vals) else len(vals) - 1
+        """Index j with value(j) <= m < value(j+1), or None if m < value(1).
+
+        Works on Python ints of any size: it never builds a values array.
+        """
+        return None if m < self.value(1) else self.first_index_at_least(m + 1) - 1
 
     def first_index_at_least(self, bound: int) -> int:
         """Smallest index j with value(j) >= bound."""
@@ -367,18 +369,13 @@ def indicator(s: SetExpr, limit: int) -> np.ndarray:
         return out
     if isinstance(s, IntervalSchedule):
         vals = s.gen.values_through(limit)
-        jmax = len(vals) - 1  # intervals [vals[j-1], vals[j]) for j <= jmax
         out = np.zeros(limit + 1, dtype=bool)
-        if jmax < 1:
+        if len(vals) < 2:
             return out
-        selected = indicator(s.selector, jmax)
-        diff = np.zeros(limit + 2, dtype=np.int32)
-        starts = np.asarray(vals[:jmax], dtype=np.int64)
-        ends = np.minimum(np.asarray(vals[1 : jmax + 1], dtype=np.int64), limit + 1)
-        mask = selected[1:] & (starts <= limit)
-        np.add.at(diff, starts[mask], 1)
-        np.add.at(diff, ends[mask], -1)
-        out[1:] = np.cumsum(diff)[1 : limit + 1] > 0
+        # Blocks [vals[j-1], vals[j]) for j = 1..len(vals)-1 tile
+        # [vals[0], limit], clipped at limit + 1.
+        selected = indicator(s.selector, len(vals) - 1)
+        out[vals[0] :] = np.repeat(selected[1:], np.diff(np.minimum(vals, limit + 1)))
         return out
     if isinstance(s, Union):
         return indicator(s.left, limit) | indicator(s.right, limit)
