@@ -54,6 +54,16 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _write_transcript(config: dict, out: str | None) -> gm.Transcript:
+    """Replay config and write its transcript to out, or to stdout."""
+    transcript = replay.run_config(config)
+    if out:
+        transcript.write(out)
+    else:
+        sys.stdout.write(transcript.to_jsonl())
+    return transcript
+
+
 def _pointset_payload(ps: cv.PointSet) -> dict:
     return {
         "points": list(ps.points),
@@ -129,18 +139,13 @@ def _cmd_game(args) -> int:
         "strat_ii": args.strat_ii,
         "rounds": args.rounds,
     }
-    transcript = replay.run_config(config)
-    if args.out:
-        transcript.write(args.out)
-    else:
-        sys.stdout.write(transcript.to_jsonl())
+    transcript = _write_transcript(config, args.out)
     return EXIT_OK if transcript.verdict.decided else EXIT_UNDECIDED
 
 
 def _cmd_generic(args) -> int:
-    stochastic = args.oracles.startswith("random") or replay.player_i_is_stochastic(
-        args.strat_i
-    )
+    stochastic = (replay.oracle_is_stochastic(args.oracles)
+                  or replay.player_i_is_stochastic(args.strat_i))
     if stochastic and args.seed is None:
         raise IdealGamesError("--seed is mandatory with randomized components")
     oracles = args.oracles
@@ -160,11 +165,7 @@ def _cmd_generic(args) -> int:
         config["ball"] = {"center": args.ball_center, "radius": args.ball_radius}
         config["strat_i"] = args.strat_i
         config["oracles"] = oracles
-    transcript = replay.run_config(config)
-    if args.out:
-        transcript.write(args.out)
-    else:
-        sys.stdout.write(transcript.to_jsonl())
+    transcript = _write_transcript(config, args.out)
     return EXIT_OK if transcript.verdict.decided else EXIT_UNDECIDED
 
 
@@ -203,11 +204,7 @@ def _cmd_series(args) -> int:
         "c_step": args.c_step,
         "oracles": args.oracles,
     }
-    transcript = replay.run_config(config)
-    if args.out:
-        transcript.write(args.out)
-    else:
-        sys.stdout.write(transcript.to_jsonl())
+    _write_transcript(config, args.out)
     return EXIT_OK
 
 

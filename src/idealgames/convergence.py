@@ -76,17 +76,39 @@ def _check_horizon(limit: int, eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
+def _point_set(x, limit, eps, verdict_at) -> PointSet:
+    """Candidates c of x whose VerdictValue verdict_at(vals, c) is NotIn.
+
+    ``vals`` is x.values(limit)[1:].  Undecided candidates are listed apart;
+    past a quarter of all candidates they flag the set.
+    """
+    vals = x.values(limit)[1:]
+    cands, _ = _candidates(x, vals, eps)
+    kept: list[float] = []
+    undecided: list[float] = []
+    for c in cands.tolist():
+        value = verdict_at(vals, c)
+        if value is il.VerdictValue.NOT_IN:
+            kept.append(c)
+        elif value is il.VerdictValue.UNDECIDED:
+            undecided.append(c)
+    flags = ()
+    if len(cands) and len(undecided) > 0.25 * len(cands):
+        flags = (UNDECIDED_FLAG,)
+    return PointSet(tuple(kept), eps, flags, tuple(undecided))
+
+
 def accumulation_points(
     x: sq.SeqDescriptor, limit: int, eps: float, min_hits: int = 50
 ) -> PointSet:
     """Candidates whose eps-ball captures at least min_hits terms."""
     _check_horizon(limit, eps)
-    vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, vals, eps)
-    kept = [
-        float(c) for c in cands if int((np.abs(vals - c) <= eps).sum()) >= min_hits
-    ]
-    return PointSet(tuple(kept), eps)
+
+    def captures(vals, c):
+        hits = int((np.abs(vals - c) <= eps).sum())
+        return il.VerdictValue.NOT_IN if hits >= min_hits else il.VerdictValue.IN
+
+    return _point_set(x, limit, eps, captures)
 
 
 def _classify_hits(
@@ -125,21 +147,12 @@ def cluster_points(
 ) -> PointSet:
     """Candidates whose eps-ball hit set avoids the ideal."""
     _check_horizon(limit, eps)
-    vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, vals, eps)
-    kept: list[float] = []
-    undecided: list[float] = []
-    for c in cands:
+
+    def hit_verdict(vals, c):
         hits = np.abs(vals - c) <= eps
-        verdict = _classify_hits(ideal, x, float(c), eps, hits, limit)
-        if verdict.value is il.VerdictValue.NOT_IN:
-            kept.append(float(c))
-        elif verdict.value is il.VerdictValue.UNDECIDED:
-            undecided.append(float(c))
-    flags = ()
-    if len(cands) and len(undecided) > 0.25 * len(cands):
-        flags = (UNDECIDED_FLAG,)
-    return PointSet(tuple(kept), eps, flags, tuple(undecided))
+        return _classify_hits(ideal, x, c, eps, hits, limit).value
+
+    return _point_set(x, limit, eps, hit_verdict)
 
 
 def limit_points(
@@ -162,25 +175,26 @@ def limit_points(
     if ladder.splits[-1] != limit:
         raise ValueError("ladder must end at the horizon")
     _check_horizon(limit, ladder.base_eps)
-    vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, vals, ladder.base_eps)
-    kept: list[float] = []
-    undecided: list[float] = []
-    for c in cands:
+
+    def witness_verdict(vals, c):
         witness = np.zeros(limit + 1, dtype=bool)
         for j in range(1, ladder.depth + 1):
             lo, hi = ladder.splits[j - 1], ladder.splits[j]
-            eps_j = ladder.eps_at(j)
-            witness[lo + 1 : hi + 1] = np.abs(vals[lo:hi] - c) <= eps_j
-        verdict = il.classify_horizon_counts(ideal, witness, limit)
-        if verdict.value is il.VerdictValue.NOT_IN:
-            kept.append(float(c))
-        elif verdict.value is il.VerdictValue.UNDECIDED:
-            undecided.append(float(c))
-    flags = ()
-    if len(cands) and len(undecided) > 0.25 * len(cands):
-        flags = (UNDECIDED_FLAG,)
-    return PointSet(tuple(kept), ladder.base_eps, flags, tuple(undecided))
+            witness[lo + 1 : hi + 1] = np.abs(vals[lo:hi] - c) <= ladder.eps_at(j)
+        return il.classify_horizon_counts(ideal, witness, limit).value
+
+    return _point_set(x, limit, ladder.base_eps, witness_verdict)
+
+
+def point_set(
+    kind: str, x: sq.SeqDescriptor, ideal: il.Ideal, limit: int, eps: float
+) -> PointSet:
+    """The cluster or the limit point set of x, by kind."""
+    if kind == "cluster":
+        return cluster_points(x, ideal, limit, eps)
+    if kind == "limit":
+        return limit_points(x, ideal, limit, eps=eps)
+    raise ValueError("kind must be 'cluster' or 'limit'")
 
 
 def hausdorff(a: tuple[float, ...], b: tuple[float, ...]) -> float:
@@ -218,17 +232,9 @@ def preserve_outcome(
     ``decided`` is False when either side excluded a candidate as Undecided,
     in which case the match answer is not trustworthy either way.
     """
-    if kind not in ("cluster", "limit"):
-        raise ValueError("kind must be 'cluster' or 'limit'")
-    y = sq.Transformed(x, t)
-    if kind == "cluster":
-        if base is None:
-            base = cluster_points(x, ideal, limit, eps)
-        moved = cluster_points(y, ideal, limit, eps)
-    else:
-        if base is None:
-            base = limit_points(x, ideal, limit, eps=eps)
-        moved = limit_points(y, ideal, limit, eps=eps)
+    if base is None:
+        base = point_set(kind, x, ideal, limit, eps)
+    moved = point_set(kind, sq.Transformed(x, t), ideal, limit, eps)
     matched = hausdorff(base.points, moved.points) <= eps
     decided = not base.undecided and not moved.undecided
     return PreserveOutcome(matched, decided, base, moved)

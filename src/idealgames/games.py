@@ -553,7 +553,6 @@ def build_subseq_game(
     rounds: int,
     index_cap: int = DEFAULT_INDEX_CAP,
     config: dict | None = None,
-    mode: str = "sigma-game",
 ) -> Transcript:
     """Interleave the game with cylinder refinement.
 
@@ -575,8 +574,8 @@ def build_subseq_game(
         lambda stem, n: ball.contains(x.term(stem[n - 1])), _window_note,
     )
     verdict = _union_verdict(ideal, played, union)
-    return _transcript(mode, ideal.kind, played, union, verdict, config,
-                       stem, "sigma")
+    return _transcript("sigma-game", ideal.kind, played, union, verdict,
+                       config, stem, "sigma")
 
 
 def build_perm_game(

@@ -68,7 +68,6 @@ class Ideal:
     sum_bound: float = 4.0
     fin_cutoff: int = 50
     odd_cutoff: int = 50
-    interval_evidence: int = 10
 
     def __post_init__(self):
         if self.kind not in KINDS:

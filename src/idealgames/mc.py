@@ -12,7 +12,7 @@ fraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import convergence as cv
 from . import ideals as il
@@ -113,12 +113,7 @@ def estimate_preservation(
     """
     if samples < 100:
         raise ValueError("use at least 100 samples")
-    if kind == "cluster":
-        base = cv.cluster_points(x, ideal, horizon, eps)
-    elif kind == "limit":
-        base = cv.limit_points(x, ideal, horizon, eps=eps)
-    else:
-        raise ValueError("kind must be 'cluster' or 'limit'")
+    base = cv.point_set(kind, x, ideal, horizon, eps)
     batch_size = batch_size or samples
     config = {
         "seq": x.label(),
@@ -130,34 +125,30 @@ def estimate_preservation(
         "seed": seed,
     }
     batches: list[McReport] = []
-    hits = misses = undecided = done = 0
-    b_hits = b_misses = b_und = 0
+    hits = misses = undecided = 0
     for i in range(samples):
         sigma = sq.sample_subseq(child_seed(seed, i), horizon)
         outcome = cv.preserve_outcome(kind, x, sigma, ideal, horizon, eps, base=base)
         if not outcome.decided:
             undecided += 1
-            b_und += 1
         elif outcome.matched:
             hits += 1
-            b_hits += 1
         else:
             misses += 1
-            b_misses += 1
-        done += 1
+        done = i + 1
         if done % batch_size == 0 or done == samples:
             batches.append(
                 McReport(
-                    samples=b_hits + b_misses + b_und,
-                    hits=b_hits,
-                    misses=b_misses,
-                    undecided=b_und,
+                    samples=hits + misses + undecided,
+                    hits=hits,
+                    misses=misses,
+                    undecided=undecided,
                     seed=child_seed(seed, done - 1),
                     config={**config, "batch_end": done},
                 )
             )
-            b_hits = b_misses = b_und = 0
-    merged = McReport(samples, hits, misses, undecided, seed, config)
+            hits = misses = undecided = 0
+    merged = replace(merge_reports(*batches), seed=seed, config=config)
     return merged, batches
 
 

@@ -15,6 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor, gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +33,62 @@ def _as_fraction(v: Number) -> Fraction:
 # Term rules shared by explicit-tail and piecewise descriptors
 
 
+def _parity_set(odd: bool, even: bool) -> sx.SetExpr:
+    """All of N, the odds, the evens or nothing, by which parities are in."""
+    if odd:
+        return sx.Tail(1) if even else sx.ODDS
+    return sx.EVENS if even else sx.Finite(())
+
+
+def _ident_hits(_, lo: Fraction, hi: Fraction) -> sx.SetExpr:
+    lo_i, hi_i = max(1, ceil(lo)), floor(hi)
+    return sx.interval(lo_i, hi_i) if lo_i <= hi_i else sx.Finite(())
+
+
+def _inv_hits(_, lo: Fraction, hi: Fraction) -> sx.SetExpr:
+    if hi <= 0:
+        return sx.Finite(())
+    start = max(1, ceil(1 / hi))
+    if lo <= 0:
+        return sx.Tail(start)
+    stop = floor(1 / lo)
+    return sx.interval(start, stop) if start <= stop else sx.Finite(())
+
+
+class _Rule(NamedTuple):
+    """How one rule kind evaluates; each entry takes the rule's value first."""
+
+    term: Callable[[Number, int], Number]
+    bulk: Callable[[Number, np.ndarray], np.ndarray]
+    hits: Callable[[Number, Fraction, Fraction], sx.SetExpr]
+    specials: Callable[[Number], tuple[float, ...]]
+
+
+_RULES: dict[str, _Rule] = {
+    "const": _Rule(
+        term=lambda c, n: c, bulk=lambda c, idx: np.full(idx.shape, float(c)),
+        hits=lambda c, lo, hi: (
+            sx.Tail(1) if lo <= _as_fraction(c) <= hi else sx.Finite(())
+        ),
+        specials=lambda c: (float(c),),
+    ),
+    "inv": _Rule(
+        term=lambda c, n: Fraction(1, n), bulk=lambda c, idx: 1.0 / idx,
+        hits=_inv_hits, specials=lambda c: (0.0,),
+    ),
+    "ident": _Rule(
+        term=lambda c, n: n, bulk=lambda c, idx: idx.astype(np.float64),
+        hits=_ident_hits, specials=lambda c: (),
+    ),
+    "altsign": _Rule(
+        term=lambda c, n: -1 if n % 2 else 1,
+        bulk=lambda c, idx: np.where(idx % 2 == 1, -1.0, 1.0),
+        hits=lambda c, lo, hi: _parity_set(lo <= -1 <= hi, lo <= 1 <= hi),
+        specials=lambda c: (-1.0, 1.0),
+    ),
+}
+
+
 @dataclass(frozen=True)
 class TermRule:
     """One of the registered per-index value rules."""
@@ -39,69 +96,22 @@ class TermRule:
     kind: str  # "const" | "inv" | "ident" | "altsign"
     value: Number = 0
 
+    def __post_init__(self):
+        if self.kind not in _RULES:
+            raise ValueError(self.kind)
+
     def __call__(self, n: int) -> Number:
-        if self.kind == "const":
-            return self.value
-        if self.kind == "inv":
-            return Fraction(1, n)
-        if self.kind == "ident":
-            return n
-        if self.kind == "altsign":
-            return -1 if n % 2 else 1
-        raise ValueError(self.kind)
+        return _RULES[self.kind].term(self.value, n)
 
     def bulk(self, idx: np.ndarray) -> np.ndarray:
-        if self.kind == "const":
-            return np.full(idx.shape, float(self.value))
-        if self.kind == "inv":
-            return 1.0 / idx
-        if self.kind == "ident":
-            return idx.astype(np.float64)
-        if self.kind == "altsign":
-            return np.where(idx % 2 == 1, -1.0, 1.0)
-        raise ValueError(self.kind)
+        return _RULES[self.kind].bulk(self.value, idx)
 
-    def hit_indices(self, lo: Fraction, hi: Fraction) -> sx.SetExpr | None:
+    def hit_indices(self, lo: Fraction, hi: Fraction) -> sx.SetExpr:
         """Indices n with rule(n) in [lo, hi], as a set expression."""
-        if self.kind == "const":
-            c = _as_fraction(self.value)
-            return sx.Tail(1) if lo <= c <= hi else sx.Finite(())
-        if self.kind == "ident":
-            lo_i = max(1, ceil(lo))
-            hi_i = floor(hi)
-            if hi_i < lo_i:
-                return sx.Finite(())
-            return sx.interval(lo_i, hi_i)
-        if self.kind == "inv":
-            if hi <= 0:
-                return sx.Finite(())
-            start = max(1, ceil(1 / hi))
-            if lo <= 0:
-                return sx.Tail(start)
-            stop = floor(1 / lo)
-            if stop < start:
-                return sx.Finite(())
-            return sx.interval(start, stop)
-        if self.kind == "altsign":
-            odd = lo <= -1 <= hi
-            even = lo <= 1 <= hi
-            if odd and even:
-                return sx.Tail(1)
-            if odd:
-                return sx.ODDS
-            if even:
-                return sx.EVENS
-            return sx.Finite(())
-        raise ValueError(self.kind)
+        return _RULES[self.kind].hits(self.value, lo, hi)
 
     def specials(self) -> tuple[float, ...]:
-        if self.kind == "const":
-            return (float(self.value),)
-        if self.kind == "inv":
-            return (0.0,)
-        if self.kind == "altsign":
-            return (-1.0, 1.0)
-        return ()
+        return _RULES[self.kind].specials(self.value)
 
     def label(self) -> str:
         return str(self.value) if self.kind == "const" else self.kind
@@ -163,15 +173,9 @@ class AlternatingPair(SeqDescriptor):
         return out
 
     def hit_set(self, lo, hi):
-        odd = lo <= _as_fraction(self.v0) <= hi
-        even = lo <= _as_fraction(self.v1) <= hi
-        if odd and even:
-            return sx.Tail(1)
-        if odd:
-            return sx.ODDS
-        if even:
-            return sx.EVENS
-        return sx.Finite(())
+        return _parity_set(
+            lo <= _as_fraction(self.v0) <= hi, lo <= _as_fraction(self.v1) <= hi
+        )
 
     def specials(self):
         return (float(self.v0), float(self.v1))
@@ -203,8 +207,6 @@ class ExplicitTail(SeqDescriptor):
 
     def hit_set(self, lo, hi):
         tail_idx = self.tail.hit_indices(lo, hi)
-        if tail_idx is None:
-            return None
         k = len(self.prefix)
         expr: sx.SetExpr = (
             tail_idx if k == 0 else sx.Inter(tail_idx, sx.Tail(k + 1))
@@ -249,8 +251,6 @@ class PiecewiseOnSet(SeqDescriptor):
     def hit_set(self, lo, hi):
         on_idx = self.on_rule.hit_indices(lo, hi)
         off_idx = self.off_rule.hit_indices(lo, hi)
-        if on_idx is None or off_idx is None:
-            return None
         return sx.Union(
             sx.Inter(self.on_set, on_idx),
             sx.Inter(sx.Compl(self.on_set), off_idx),
