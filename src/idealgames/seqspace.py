@@ -91,7 +91,7 @@ _RULES: dict[str, _Rule] = {
 
 @dataclass(frozen=True)
 class TermRule:
-    """One of the registered per-index value rules."""
+    """A registered per-index value rule; only "const" keeps its value."""
 
     kind: str  # "const" | "inv" | "ident" | "altsign"
     value: Number = 0
@@ -99,6 +99,8 @@ class TermRule:
     def __post_init__(self):
         if self.kind not in _RULES:
             raise ValueError(self.kind)
+        if self.kind != "const":
+            object.__setattr__(self, "value", 0)
 
     def __call__(self, n: int) -> Number:
         return _RULES[self.kind].term(self.value, n)
@@ -113,8 +115,7 @@ class TermRule:
     def specials(self) -> tuple[float, ...]:
         return _RULES[self.kind].specials(self.value)
 
-    def label(self) -> str:
-        return str(self.value) if self.kind == "const" else self.kind
+    label = sx.dsl_text
 
 
 CONST_ZERO = TermRule("const", 0)
@@ -148,11 +149,7 @@ class SeqDescriptor:
     def specials(self) -> tuple[float, ...]:
         return ()
 
-    def label(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.label()
+    label = sx.dsl_text
 
 
 @dataclass(frozen=True)
@@ -179,9 +176,6 @@ class AlternatingPair(SeqDescriptor):
 
     def specials(self):
         return (float(self.v0), float(self.v1))
-
-    def label(self):
-        return f"alt({self.v0},{self.v1})"
 
 
 @dataclass(frozen=True)
@@ -223,11 +217,6 @@ class ExplicitTail(SeqDescriptor):
     def specials(self):
         return self.tail.specials()
 
-    def label(self):
-        if not self.prefix and self.tail.kind == "inv":
-            return "inv"
-        return f"seq(prefix={list(self.prefix)},tail={self.tail.label()})"
-
 
 @dataclass(frozen=True)
 class PiecewiseOnSet(SeqDescriptor):
@@ -259,12 +248,6 @@ class PiecewiseOnSet(SeqDescriptor):
     def specials(self):
         return tuple(dict.fromkeys(self.on_rule.specials() + self.off_rule.specials()))
 
-    def label(self):
-        return (
-            f"piecewise({self.on_set.to_dsl()},"
-            f"{self.on_rule.label()},{self.off_rule.label()})"
-        )
-
 
 _RATIONALS: list[Fraction] = []
 _RATIONALS_LOCK = threading.Lock()
@@ -295,9 +278,6 @@ class RationalEnum(SeqDescriptor):
         out[1:] = [float(q) for q in _rationals_through(limit)]
         return out
 
-    def label(self):
-        return "ratenum"
-
 
 @dataclass(frozen=True)
 class SignedRationalEnum(SeqDescriptor):
@@ -317,9 +297,6 @@ class SignedRationalEnum(SeqDescriptor):
         out[2::2] = -qs[: limit // 2]
         return out
 
-    def label(self):
-        return "ratenum-signed"
-
 
 # ---------------------------------------------------------------------------
 # Index transforms: subsequences and permutations
@@ -338,9 +315,10 @@ class Subseq:
     """Strictly increasing index map: explicit stem plus a tail rule.
 
     Tail "shift" continues with consecutive integers after the stem; tail
-    "set" continues along the members of an infinite set expression.  The
-    stem may be given as any integer sequence, such as an int64 array; it is
-    stored as a tuple of Python ints.
+    "set" has no stem and runs along the members of an infinite set
+    expression ``tail_set``, which only it takes.  The stem may be given as
+    any integer sequence, such as an int64 array; it is stored as a tuple
+    of Python ints.
     """
 
     stem: tuple[int, ...] = ()
@@ -349,7 +327,13 @@ class Subseq:
     _stem_arr: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.tail not in ("shift", "set"):
+            raise ValueError(f"unknown subsequence tail {self.tail!r}")
+        if (self.tail == "set") != (self.tail_set is not None):
+            raise ValueError("tail 'set', and only it, takes a set expression")
         arr = np.array(self.stem, dtype=np.int64)
+        if self.tail == "set" and arr.size:
+            raise ValueError("tail 'set' takes no stem")
         if (np.diff(arr) <= 0).any():
             raise ValueError("subsequence stem must be strictly increasing")
         if arr.size and arr[0] < 1:
@@ -358,53 +342,45 @@ class Subseq:
         object.__setattr__(self, "_stem_arr", arr)
         if not isinstance(self.stem, tuple):
             object.__setattr__(self, "stem", tuple(arr.tolist()))
-        if self.tail == "set" and self.tail_set is None:
-            raise ValueError("tail 'set' needs a set expression")
 
     @classmethod
     def from_set(cls, s: sx.SetExpr) -> "Subseq":
         return cls((), "set", s)
 
-    def _set_members(self, need: int, floor_val: int) -> list[int]:
-        cap = max(1024, 4 * (floor_val + need))
+    def _set_members(self, need: int) -> list[int]:
+        cap = max(1024, 4 * need)
         while True:
-            members = [v for v in sx.prefix(self.tail_set, cap) if v > floor_val]
+            members = sx.prefix(self.tail_set, cap)
             if len(members) >= need:
                 return members[:need]
             if cap > _SET_ENUM_CAP:
                 raise HorizonCapExceeded(
                     f"{self.tail_set.to_dsl()} yielded only {len(members)} "
-                    f"members above {floor_val} within {cap}"
+                    f"members within {cap}"
                 )
             cap *= 4
 
     def indices(self, limit: int) -> np.ndarray:
         """Array s with s[0] unused and s[n] the n-th index, n <= limit."""
         out = np.zeros(limit + 1, dtype=np.int64)
+        if self.tail == "set":
+            out[1:] = self._set_members(limit)
+            return out
         k = min(len(self.stem), limit)
         out[1 : k + 1] = self._stem_arr[:k]
-        if limit > k:
-            last = self.stem[k - 1] if k else 0
-            if self.tail == "shift":
-                out[k + 1 :] = last + np.arange(1, limit - k + 1)
-            else:
-                out[k + 1 :] = self._set_members(limit - k, last)
+        out[k + 1 :] = (self.stem[k - 1] if k else 0) + np.arange(1, limit - k + 1)
         return out
 
     def index(self, n: int) -> int:
         if n < 1:
             raise ValueError("positions start at 1")
+        if self.tail == "set":
+            return int(self.indices(n)[n])
         if n <= len(self.stem):
             return self.stem[n - 1]
-        if self.tail == "shift":
-            last = self.stem[-1] if self.stem else 0
-            return last + (n - len(self.stem))
-        return int(self.indices(n)[n])
+        return (self.stem[-1] if self.stem else 0) + n - len(self.stem)
 
-    def label(self) -> str:
-        if self.tail == "set":
-            return f"set({self.tail_set.to_dsl()})"
-        return "stem[%s]" % ",".join(str(v) for v in self.stem)
+    label = sx.dsl_text
 
 
 @dataclass(frozen=True)
@@ -412,11 +388,12 @@ class Perm:
     """Bijection of N: a stem permuting an initial segment, identity beyond.
 
     Checkpoints are the positions m at which the first m values are exactly
-    {1, ..., m}; the stem length is always one of them.
+    {1, ..., m}; the stem length is always one of them.  They are validated
+    game metadata and take no part in equality.
     """
 
     stem: tuple[int, ...] = ()
-    checkpoints: tuple[int, ...] = ()
+    checkpoints: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(set(self.stem)) != len(self.stem):
@@ -443,8 +420,7 @@ class Perm:
             raise ValueError("positions start at 1")
         return self.stem[n - 1] if n <= len(self.stem) else n
 
-    def label(self) -> str:
-        return "perm-stem[%s]" % ",".join(str(v) for v in self.stem)
+    label = sx.dsl_text
 
 
 @dataclass(frozen=True)
@@ -511,9 +487,6 @@ class Transformed(SeqDescriptor):
 
     def specials(self):
         return self.inner.specials()
-
-    def label(self):
-        return f"{self.inner.label()}@{self.transform.label()}"
 
 
 def subseq_apply(sigma: Subseq, x: SeqDescriptor) -> SeqDescriptor:

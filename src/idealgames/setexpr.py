@@ -159,20 +159,20 @@ register_generator(
 register_generator(Generator("odd2", fn=lambda n: 2 * n - 1, affine=(2, -1)))
 
 
+def dsl_text(obj) -> str:
+    """The DSL text of a set, sequence, rule or transform (see ``dsl``)."""
+    from . import dsl  # imported here because dsl imports this module
+
+    return dsl.dump(obj)
+
+
 class SetExpr:
     """Base class; subclasses form a Boolean algebra with exact membership."""
 
     def member(self, n: int) -> bool:
         raise NotImplementedError
 
-    def children(self) -> tuple["SetExpr", ...]:
-        return ()
-
-    def to_dsl(self) -> str:
-        raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return self.to_dsl()
+    to_dsl = dsl_text
 
     def __eq__(self, other) -> bool:
         return isinstance(other, SetExpr) and self.to_dsl() == other.to_dsl()
@@ -201,9 +201,6 @@ class Finite(SetExpr):
         i = bisect.bisect_left(self.values, n)
         return i < len(self.values) and self.values[i] == n
 
-    def to_dsl(self) -> str:
-        return "finite{%s}" % ",".join(str(v) for v in self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class ArithProg(SetExpr):
@@ -220,9 +217,6 @@ class ArithProg(SetExpr):
         _check_positive(n)
         return n >= self.first and (n - self.first) % self.step == 0
 
-    def to_dsl(self) -> str:
-        return f"ap({self.first},{self.step})"
-
 
 @dataclass(frozen=True, eq=False)
 class Tail(SetExpr):
@@ -237,9 +231,6 @@ class Tail(SetExpr):
     def member(self, n: int) -> bool:
         _check_positive(n)
         return n >= self.start
-
-    def to_dsl(self) -> str:
-        return f"tail({self.start})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,19 +249,6 @@ class IntervalSchedule(SetExpr):
         _check_positive(n)
         j = self.gen.index_of(n)
         return j is not None and self.selector.member(j)
-
-    def to_dsl(self) -> str:
-        sel = self.selector
-        if isinstance(sel, Tail) and sel.start == 1:
-            return f"isch({self.gen.name})"
-        if isinstance(sel, ArithProg) and (sel.first, sel.step) == (2, 2):
-            return f"isch({self.gen.name},even)"
-        if isinstance(sel, Finite):
-            return "isch(%s,{%s})" % (
-                self.gen.name,
-                ",".join(str(v) for v in sel.values),
-            )
-        return f"isch({self.gen.name},<{sel.to_dsl()}>)"
 
 
 def schedule_all(gen: Generator) -> IntervalSchedule:
@@ -293,12 +271,6 @@ class Union(SetExpr):
     def member(self, n: int) -> bool:
         return self.left.member(n) or self.right.member(n)
 
-    def children(self):
-        return (self.left, self.right)
-
-    def to_dsl(self) -> str:
-        return f"union({self.left.to_dsl()},{self.right.to_dsl()})"
-
 
 @dataclass(frozen=True, eq=False)
 class Inter(SetExpr):
@@ -307,12 +279,6 @@ class Inter(SetExpr):
 
     def member(self, n: int) -> bool:
         return self.left.member(n) and self.right.member(n)
-
-    def children(self):
-        return (self.left, self.right)
-
-    def to_dsl(self) -> str:
-        return f"inter({self.left.to_dsl()},{self.right.to_dsl()})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,12 +289,6 @@ class Compl(SetExpr):
 
     def member(self, n: int) -> bool:
         return not self.inner.member(n)
-
-    def children(self):
-        return (self.inner,)
-
-    def to_dsl(self) -> str:
-        return f"compl({self.inner.to_dsl()})"
 
 
 EVENS = ArithProg(2, 2)

@@ -56,6 +56,18 @@ class TestCluster:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("seq", ["piecewise(ap(2,2),n,0)", "const(3)"])
+    def test_echo_replays_byte_identically(self, capsys, seq):
+        reports = []
+        for _ in range(2):
+            code, out = run(
+                capsys, "cluster", "--seq", seq, "--ideal", "density0", "-N", "1000",
+            )
+            assert code == 0
+            reports.append(out)
+            seq = json.loads(out)["seq"]
+        assert reports[0] == reports[1]
+
     def test_limit(self, capsys):
         code, out = run(
             capsys, "limit", "--seq", "alt(0,1)", "--ideal", "density0",

@@ -1,9 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealgames import dsl, seqspace as sq, setexpr as sx
 from idealgames.errors import DslParseError
+
+
+def _parse_back(obj):
+    """parse(print(obj)) with the parser for obj's kind."""
+    text = dsl.dump(obj)
+    if isinstance(obj, sx.SetExpr):
+        assert obj.to_dsl() == text
+        return dsl.parse_set(text)
+    assert obj.label() == text
+    if isinstance(obj, sq.SeqDescriptor):
+        return dsl.parse_seq(text)
+    if isinstance(obj, sq.TermRule):  # a rule is read inside a sequence
+        return dsl.parse_seq(f"seq([],{text})").tail
+    return dsl.parse_transform(text)
 
 
 class TestSets:
@@ -44,6 +59,18 @@ class TestSets:
         ):
             expr = dsl.parse_set(text)
             assert dsl.parse_set(expr.to_dsl()) == expr
+        # The identity rule, constants, explicit prefixes, any isch selector,
+        # transformed sequences and fields that no label carries.
+        for obj in (
+            sq.PiecewiseOnSet(sx.ArithProg(2, 2), sq.RULE_IDENT, sq.CONST_ZERO),
+            sq.ExplicitTail((), sq.TermRule("const", 3)),
+            sq.ExplicitTail((Fraction(1, 2), 3), sq.RULE_INV),
+            sx.IntervalSchedule(sx.generator("pow2"), sx.ArithProg(1, 3)),
+            sq.Transformed(sq.AlternatingPair(0, 1), sq.Subseq((1, 3))),
+            sq.Perm((2, 1, 3), (2, 3)),
+            sq.TermRule("inv", 5),
+        ):
+            assert _parse_back(obj) == obj
 
 
 class TestSeqs:
@@ -107,3 +134,138 @@ class TestErrors:
         with pytest.raises(DslParseError) as err:
             dsl.parse_set("union(ap(1,2),\n  blob)")
         assert err.value.line == 2
+
+
+# Strategies for every class the DSL names; sets reuse the shape of
+# tests/test_periodic.py's _exprs.
+_nums = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(max_denominator=12),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_leaf = st.one_of(
+    st.lists(st.integers(1, 60), max_size=6).map(lambda v: sx.Finite(tuple(v))),
+    st.tuples(st.integers(1, 12), st.integers(1, 8)).map(lambda t: sx.ArithProg(*t)),
+    st.integers(1, 40).map(sx.Tail),
+)
+_boolean = st.recursive(
+    _leaf,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: sx.Union(*t)),
+        st.tuples(inner, inner).map(lambda t: sx.Inter(*t)),
+        inner.map(sx.Compl),
+    ),
+    max_leaves=4,
+)
+_schedules = st.builds(
+    sx.IntervalSchedule,
+    st.sampled_from(["linear", "pow2", "expE", "esum", "odd2"]).map(sx.generator),
+    st.one_of(
+        st.just(sx.Tail(1)),
+        st.just(sx.EVENS),
+        st.lists(st.integers(1, 30), max_size=5).map(lambda v: sx.Finite(tuple(v))),
+        _boolean,
+    ),
+)
+_sets = st.recursive(
+    st.one_of(_leaf, _schedules),
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: sx.Union(*t)),
+        st.tuples(inner, inner).map(lambda t: sx.Inter(*t)),
+        inner.map(sx.Compl),
+    ),
+    max_leaves=5,
+)
+_rules = st.one_of(
+    st.sampled_from([sq.RULE_IDENT, sq.RULE_INV, sq.RULE_ALTSIGN]),
+    _nums.map(lambda v: sq.TermRule("const", v)),
+)
+_transforms = st.one_of(
+    st.lists(st.integers(1, 200), max_size=8, unique=True).map(
+        lambda v: sq.Subseq(tuple(sorted(v)))
+    ),
+    _sets.map(sq.Subseq.from_set),
+    st.permutations(range(1, 7)).map(lambda p: sq.Perm(tuple(p), (len(p),))),
+    st.just(sq.Perm()),
+)
+_base_seqs = st.one_of(
+    st.builds(sq.AlternatingPair, _nums, _nums),
+    st.builds(sq.ExplicitTail, st.lists(_nums, max_size=4).map(tuple), _rules),
+    st.just(sq.RationalEnum()),
+    st.just(sq.SignedRationalEnum()),
+    st.builds(sq.PiecewiseOnSet, _sets, _rules, _rules),
+)
+_seqs = st.recursive(
+    _base_seqs,
+    lambda inner: st.builds(sq.Transformed, inner, _transforms),
+    max_leaves=3,
+)
+
+
+class TestTwoWay:
+    """Every printed form parses back to the object that printed it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_sets, _rules, _transforms, _seqs))
+    def test_parse_of_print_is_identity(self, obj):
+        back = _parse_back(obj)
+        assert back == obj
+        assert dsl.dump(back) == dsl.dump(obj)
+
+    def test_labels_that_parsed_keep_their_bytes(self):
+        for text in (
+            "alt(1/2,-1/3)",
+            "inv",
+            "ratenum",
+            "ratenum-signed",
+            "piecewise(isch(esum,even),inv,altsign)",
+        ):
+            assert dsl.parse_seq(text).label() == text
+        for text in ("stem[]", "stem[2,4,6]", "set(ap(2,2))", "perm-stem[2,1]"):
+            assert dsl.parse_transform(text).label() == text
+        for text in (
+            "finite{}",
+            "finite{3,7}",
+            "isch(pow2)",
+            "isch(esum,even)",
+            "isch(linear,{2,4})",
+            "union(ap(1,2),compl(tail(40)))",
+            "inter(ap(2,2),tail(5))",
+        ):
+            assert dsl.parse_set(text).to_dsl() == text
+
+    def test_new_forms(self):
+        assert dsl.parse_seq("seq([1/2,3],inv)") == sq.ExplicitTail(
+            (Fraction(1, 2), 3), sq.RULE_INV
+        )
+        assert dsl.parse_seq("seq([],inv)").label() == "inv"
+        assert dsl.parse_seq("seq([],7)").label() == "const(7)"
+        for text in ("const(-3/4)", "piecewise(finite{4,9},n,0)", "seq([1/2,3],inv)"):
+            assert dsl.parse_seq(text).label() == text
+        assert sq.ExplicitTail((), sq.RULE_IDENT).label() == "seq([],n)"
+        assert sq.ExplicitTail((), sq.RULE_ALTSIGN).label() == "seq([],altsign)"
+        assert dsl.parse_set("isch(pow2,all)").to_dsl() == "isch(pow2)"
+        assert dsl.parse_set("isch(pow2,union(ap(1,3),tail(9)))").selector == sx.Union(
+            sx.ArithProg(1, 3), sx.Tail(9)
+        )
+        x = dsl.parse_seq("alt(0,1)@stem[1,3]@perm-stem[2,1]")
+        assert x == sq.Transformed(
+            sq.Transformed(sq.AlternatingPair(0, 1), sq.Subseq((1, 3))), sq.Perm((2, 1))
+        )
+        assert [x.term(n) for n in (1, 2, 3)] == [0, 0, 1]  # x at 3, 1, 4
+        assert sq.AlternatingPair(0.5, 2).label() == "alt(1/2,2)"
+
+    @pytest.mark.parametrize("parse, text", [
+        (dsl.parse_seq, "const(n)"),
+        (dsl.parse_seq, "seq([1],)"),
+        (dsl.parse_seq, "alt(0,1)@"),
+        (dsl.parse_set, "isch(pow2,<ap(1,3)>)"),
+        (dsl.parse_set, "ap(1/2,3)"),
+    ])
+    def test_rejected_forms(self, parse, text):
+        with pytest.raises(DslParseError):
+            parse(text)
+
+    def test_reprs_are_the_dataclass_ones(self):
+        assert repr(sx.Tail(3)) == "Tail(start=3)"
+        assert repr(sq.RationalEnum()) == "RationalEnum()"

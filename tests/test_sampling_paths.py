@@ -15,6 +15,7 @@ from idealgames import ideals as il
 from idealgames import mc
 from idealgames import replay
 from idealgames import seqspace as sq
+from idealgames import setexpr as sx
 
 LIMITS = list(range(1, 71)) + [1000, 10_000]
 SEEDS = [mc.child_seed(424_242, i) for i in range(50)]
@@ -43,11 +44,16 @@ def test_sample_from_generator_consumes_same_stream(limit):
 
 
 @pytest.mark.parametrize(
-    "stem", [(3, 2), (1, 4, 4), (2, 2), (0, 1), (0,), (1, 5, 3)]
+    "stem", [(3, 2), (1, 4, 4), (2, 2), (0, 1), (0,), (1, 5, 3),
+             # fields a Subseq label cannot carry, given as keyword arguments
+             {"stem": (), "tail": "foo"},
+             {"stem": (), "tail": "shift", "tail_set": sx.EVENS},
+             {"stem": (1, 2), "tail": "set", "tail_set": sx.EVENS},
+             {"stem": (), "tail": "set"}]
 )
 def test_bad_stem_rejected(stem):
     with pytest.raises(ValueError):
-        sq.Subseq(stem)
+        sq.Subseq(**stem) if isinstance(stem, dict) else sq.Subseq(stem)
 
 
 def test_equal_stems_equal_and_hash_equal():
