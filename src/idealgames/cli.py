@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 error, 2 soft failure (Undecided-dominated
-results).  Stochastic commands require --seed.  The environment variable
+results).  mc and witness require --seed; a randomized strategy or oracle
+spec takes its seed from the spec or from --seed.  The environment variable
 IDEALGAMES_HORIZON_CAP bounds every horizon argument as a memory guard.
 """
 from __future__ import annotations
@@ -127,15 +128,10 @@ def _cmd_preserve(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    if replay.player_i_is_stochastic(args.strat_i) and args.seed is None:
-        raise IdealGamesError("--seed is mandatory with a randomized strategy")
-    strat_i = args.strat_i
-    if args.strat_i == "randjump" and args.seed is not None:
-        strat_i = f"randjump:{args.seed}"
     config = {
         "command": "game",
         "ideal": args.ideal,
-        "strat_i": strat_i,
+        "strat_i": replay.with_seed("strat_i", args.strat_i, args.seed),
         "strat_ii": args.strat_ii,
         "rounds": args.rounds,
     }
@@ -144,13 +140,6 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_generic(args) -> int:
-    stochastic = (replay.oracle_is_stochastic(args.oracles)
-                  or replay.player_i_is_stochastic(args.strat_i))
-    if stochastic and args.seed is None:
-        raise IdealGamesError("--seed is mandatory with randomized components")
-    oracles = args.oracles
-    if oracles == "random" and args.seed is not None:
-        oracles = f"random:{args.seed}"
     config = {
         "command": "generic",
         "mode": args.mode,
@@ -163,8 +152,8 @@ def _cmd_generic(args) -> int:
         config["m_max"] = args.m_max
     else:
         config["ball"] = {"center": args.ball_center, "radius": args.ball_radius}
-        config["strat_i"] = args.strat_i
-        config["oracles"] = oracles
+        for key in ("strat_i", "oracles"):
+            config[key] = replay.with_seed(key, getattr(args, key), args.seed)
     transcript = _write_transcript(config, args.out)
     return EXIT_OK if transcript.verdict.decided else EXIT_UNDECIDED
 
@@ -175,10 +164,10 @@ def _cmd_series(args) -> int:
         ideal = il.Ideal.from_name(args.ideal)
         if args.sigma.startswith("stem@"):
             with open(args.sigma[5:]) as fh:
-                stem = tuple(json.load(fh))
-            sigma = dsl.parse_transform(
-                "stem[%s]" % ",".join(str(v) for v in stem)
-            )
+                stem = json.load(fh)
+            if not isinstance(stem, list) or any(type(v) is not int for v in stem):
+                raise IdealGamesError(f"{args.sigma[5:]} holds no JSON list of ints")
+            sigma = sq.Subseq(tuple(stem))
         else:
             sigma = dsl.parse_transform(args.sigma)
         if not isinstance(sigma, sq.Subseq):
@@ -309,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("game", help="play the finite-union game")
     sp.add_argument("--ideal", required=True, choices=il.KINDS)
     sp.add_argument("--strat-i", default="linear:100",
-                    help="linear:STEP | exp:BASE:SCALE | randjump[:SEED[:JUMP]]")
-    sp.add_argument("--strat-ii", default="talagrand", choices=["talagrand", "empty"])
+                    help=replay.usage("strat_i"))
+    sp.add_argument("--strat-ii", default="talagrand", choices=replay.SPECS["strat_ii"])
     sp.add_argument("--rounds", type=int, default=50)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
@@ -326,9 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=int, default=3)
     sp.add_argument("--ball-center", default="0")
     sp.add_argument("--ball-radius", default="1/2")
-    sp.add_argument("--strat-i", default="linear:10")
-    sp.add_argument("--oracles", default="trivial",
-                    help="trivial | random[:SEED] | interval-hit | forcing[:EVERY]")
+    sp.add_argument("--strat-i", default="linear:10", help=replay.usage("strat_i"))
+    sp.add_argument("--oracles", default="trivial", help=replay.usage("oracles"))
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(fn=_cmd_generic)
@@ -341,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k-max", type=int, default=se.DEFAULT_K_MAX)
     sp.add_argument("--rounds", type=int, default=10)
     sp.add_argument("--c-step", type=int, default=20)
-    sp.add_argument("--oracles", default="none")
+    sp.add_argument("--oracles", default="none",
+                    help="none | " + replay.usage("oracles"))
     add_common(sp)
     sp.set_defaults(fn=_cmd_series)
 

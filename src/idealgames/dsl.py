@@ -128,8 +128,7 @@ def _read_selector(lx: _Lexer) -> sx.SetExpr:
 def _write_selector(sel: sx.SetExpr) -> str:
     if isinstance(sel, sx.Finite):
         return _KINDS["ints{}"].write(sel.values)
-    text = dump(sel)
-    return "even" if text == dump(sx.EVENS) else text
+    return "even" if sel == sx.EVENS else dump(sel)
 
 
 class _Kind(NamedTuple):

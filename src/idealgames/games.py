@@ -167,8 +167,6 @@ class Move:
 class PlayerI:
     """Cofinite-set strategy: a pure function of the transcript so far."""
 
-    name = "player-i"
-
     def __call__(self, rounds: tuple[Round, ...], k: int) -> int:
         raise NotImplementedError
 
@@ -176,7 +174,6 @@ class PlayerI:
 class LinearPlayerI(PlayerI):
     def __init__(self, step: int = 100):
         self.step = step
-        self.name = f"linear:{step}"
 
     def __call__(self, rounds, k):
         return self.step * k
@@ -186,7 +183,6 @@ class ExponentialPlayerI(PlayerI):
     def __init__(self, base: int = 2, scale: int = 10):
         self.base = base
         self.scale = scale
-        self.name = f"exp:{base}:{scale}"
 
     def __call__(self, rounds, k):
         return self.scale * self.base**k
@@ -198,7 +194,6 @@ class RandomJumpPlayerI(PlayerI):
     def __init__(self, seed: int, max_jump: int = 20_000):
         self.seed = seed
         self.max_jump = max_jump
-        self.name = f"randjump:{seed}:{max_jump}"
 
     def __call__(self, rounds, k):
         prev = rounds[-1].c if rounds else 1
@@ -209,15 +204,11 @@ class RandomJumpPlayerI(PlayerI):
 
 
 class PlayerII:
-    name = "player-ii"
-
     def __call__(self, rounds: tuple[Round, ...], k: int, c: int) -> Move:
         raise NotImplementedError
 
 
 class EmptyPlayerII(PlayerII):
-    name = "empty"
-
     def __call__(self, rounds, k, c):
         return Move(())
 
@@ -232,7 +223,6 @@ class TalagrandPlayerII(PlayerII):
 
     def __init__(self, witness: il.TalagrandWitness):
         self.witness = witness
-        self.name = f"talagrand:{witness.gen.name}"
 
     def __call__(self, rounds, k, c):
         used = set(_block_indices(rounds))
@@ -245,8 +235,6 @@ class TalagrandPlayerII(PlayerII):
 
 class ExplicitPlayerII(PlayerII):
     """Plays a fixed list of moves; handy for tests and adversarial cases."""
-
-    name = "explicit"
 
     def __init__(self, moves: list[Blocks]):
         self.moves = moves
@@ -338,15 +326,11 @@ def talagrand_strategy(witness: il.TalagrandWitness) -> TalagrandPlayerII:
 class DenseOpenOracle:
     """Operational stand-in for a dense open set: refine a cylinder."""
 
-    name = "oracle"
-
     def refine(self, cyl: sq.Cylinder) -> sq.Cylinder:
         raise NotImplementedError
 
 
 class TrivialOracle(DenseOpenOracle):
-    name = "trivial"
-
     def refine(self, cyl):
         return cyl
 
@@ -359,7 +343,6 @@ class RandomExtensionOracle(DenseOpenOracle):
         self.k = k
         self.max_steps = max_steps
         self.max_jump = max_jump
-        self.name = f"random:{seed}:{k}"
 
     def refine(self, cyl):
         rng = random.Random(self.seed * 1_000_003 + self.k)
@@ -402,7 +385,6 @@ class IntervalHitOracle(DenseOpenOracle):
         self.ball = ball
         self.witness = witness
         self.index_cap = index_cap
-        self.name = f"interval-hit:{witness.gen.name}"
 
     def refine(self, cyl):
         if cyl.space is not sq.Space.SIGMA:
@@ -634,7 +616,6 @@ class ForcingOracle(DenseOpenOracle):
     def __init__(self, x: sq.SeqDescriptor, index_cap: int = DEFAULT_INDEX_CAP):
         self.x = x
         self.index_cap = index_cap
-        self.name = "forcing"
 
     def refine(self, cyl):
         stem = list(cyl.stem)

@@ -136,11 +136,7 @@ class SeqDescriptor:
 
     def values(self, limit: int) -> np.ndarray:
         """Float array v with v[0] unused and v[n] = term(n) for n <= limit."""
-        out = np.empty(limit + 1, dtype=np.float64)
-        out[0] = np.nan
-        for n in range(1, limit + 1):
-            out[n] = float(self.term(n))
-        return out
+        raise NotImplementedError
 
     def hit_set(self, lo: Fraction, hi: Fraction) -> sx.SetExpr | None:
         """Exact index set {n : term(n) in [lo, hi]}, when expressible."""

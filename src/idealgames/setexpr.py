@@ -174,19 +174,13 @@ class SetExpr:
 
     to_dsl = dsl_text
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SetExpr) and self.to_dsl() == other.to_dsl()
-
-    def __hash__(self) -> int:
-        return hash(self.to_dsl())
-
 
 def _check_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"universe starts at 1, got {n}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Finite(SetExpr):
     values: tuple[int, ...]
 
@@ -202,7 +196,7 @@ class Finite(SetExpr):
         return i < len(self.values) and self.values[i] == n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ArithProg(SetExpr):
     """The progression {first, first + step, first + 2*step, ...}."""
 
@@ -218,7 +212,7 @@ class ArithProg(SetExpr):
         return n >= self.first and (n - self.first) % self.step == 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Tail(SetExpr):
     """All integers >= start."""
 
@@ -233,7 +227,7 @@ class Tail(SetExpr):
         return n >= self.start
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IntervalSchedule(SetExpr):
     """Union of blocks [value(j), value(j+1)) over selected generator indices.
 
@@ -263,7 +257,7 @@ def schedule_explicit(gen: Generator, indices) -> IntervalSchedule:
     return IntervalSchedule(gen, Finite(tuple(indices)))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Union(SetExpr):
     left: SetExpr
     right: SetExpr
@@ -272,7 +266,7 @@ class Union(SetExpr):
         return self.left.member(n) or self.right.member(n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Inter(SetExpr):
     left: SetExpr
     right: SetExpr
@@ -281,7 +275,7 @@ class Inter(SetExpr):
         return self.left.member(n) and self.right.member(n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Compl(SetExpr):
     """Complement relative to N = {1, 2, 3, ...}."""
 

@@ -184,6 +184,61 @@ class TestSeriesCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["7", "[true, 2]", "[1.5, 2]", "[3, 2]"])
+    def test_sigma_from_bad_file(self, capsys, tmp_path, text):
+        stem_file = tmp_path / "stem.json"
+        stem_file.write_text(text)
+        code = cli.main(
+            ["series", "--seq", "alt(1,-1)", "--ideal", "fin",
+             "--sigma", f"stem@{stem_file}", "-N", "500"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
+
+_SIGMA_GAME = ["generic", "--mode", "sigma-game", "--seq", "alt(0,1)",
+               "--ideal", "density0", "--rounds", "4"]
+_WITNESS = ["generic", "--mode", "sigma-witness", "--seq", "alt(0,1)",
+            "--ideal", "density0", "--rounds", "4"]
+_GAME = ["game", "--ideal", "fin", "--rounds", "5"]
+
+
+@pytest.mark.parametrize("argv, twin", [
+    # Malformed or unfed specs: one error line, exit 1.
+    (["series", "--oracles", "forcing:0"], None),
+    (_SIGMA_GAME + ["--oracles", "forcing:0"], None),
+    (["series", "--oracles", "interval-hit"], None),
+    (["series", "--oracles", "random"], None),
+    (_GAME + ["--strat-i", "randjump:7", "--seed", "3"], None),
+    (_GAME + ["--strat-i", "linear:10:99"], None),
+    (_GAME + ["--strat-i", "linear:ten"], None),
+    (_GAME + ["--strat-i", "exp:2:0"], None),
+    (_GAME + ["--strat-i", "randjump"], None),
+    (_GAME + ["--strat-i", "bogus"], None),
+    (_SIGMA_GAME + ["--oracles", "random:1:2"], None),
+    # Specs that run: the transcript verifies and matches its twin's bytes.
+    (_GAME + ["--strat-i", "randjump:7"],
+     _GAME + ["--strat-i", "randjump:7", "--seed", "7"]),
+    (_SIGMA_GAME + ["--strat-i", "randjump", "--seed", "5"],
+     _SIGMA_GAME + ["--strat-i", "randjump:5"]),
+    (_WITNESS + ["--oracles", "random"], _WITNESS),
+], ids=lambda argv: " ".join(argv) if argv else "fails")
+def test_player_i_and_oracle_specs(capsys, tmp_path, argv, twin):
+    path = tmp_path / "t.jsonl"
+    code = cli.main(argv + ["--out", str(path)])
+    err = capsys.readouterr().err.splitlines()
+    if twin is None:
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not path.exists()
+        return
+    assert code == 0 and not err
+    assert cli.main(["verify", "--transcript", str(path)]) == 0
+    twin_path = tmp_path / "twin.jsonl"
+    assert cli.main(twin + ["--out", str(twin_path)]) == 0
+    assert path.read_bytes() == twin_path.read_bytes()
+
 
 class TestMcCommand:
     def test_report_and_csv(self, capsys, tmp_path):

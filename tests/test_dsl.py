@@ -212,6 +212,16 @@ class TestTwoWay:
         assert back == obj
         assert dsl.dump(back) == dsl.dump(obj)
 
+    @settings(max_examples=150, deadline=None)
+    @given(_sets.flatmap(lambda a: st.tuples(
+        st.just(a), st.one_of(_sets, st.just(dsl.parse_set(dsl.dump(a))))
+    )))
+    def test_set_equality_and_hash_agree_with_printing(self, pair):
+        a, b = pair
+        assert (a == b) == (dsl.dump(a) == dsl.dump(b))
+        if a == b:
+            assert hash(a) == hash(b)
+
     def test_labels_that_parsed_keep_their_bytes(self):
         for text in (
             "alt(1/2,-1/3)",
