@@ -9,7 +9,7 @@ surface through flags.  All functions here are pure and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,12 +58,10 @@ def default_ladder(eps: float, horizon: int, depth: int = 6) -> LadderSpec:
 
 
 def _candidates(
-    x: sq.SeqDescriptor, vals: np.ndarray, eps: float
+    x: sq.SeqDescriptor, codes: np.ndarray, pitch: float
 ) -> tuple[np.ndarray, float]:
-    """Grid-snapped vals (x.values(limit)[1:]) plus x's special values."""
-    pitch = eps / 2.0
-    grid = np.unique(np.round(vals / pitch)) * pitch
-    cands = list(grid)
+    """Grid points codes * pitch (sorted distinct codes) plus x's specials."""
+    cands = (codes * pitch).tolist()
     for s in x.specials():
         if not any(abs(s - c) <= pitch * 1e-9 for c in cands):
             cands.append(s)
@@ -76,18 +74,35 @@ def _check_horizon(limit: int, eps: float) -> None:
         raise ValueError("eps must be positive")
 
 
-def _point_set(x, limit, eps, verdict_at) -> PointSet:
-    """Candidates c of x whose VerdictValue verdict_at(vals, c) is NotIn.
+def _view(x: sq.SeqDescriptor, limit: int, pitch: float):
+    """The sorted distinct grid codes round(x_n / pitch), n = 1..limit, and
+    ``near(c, r, s)``: the bools |x_n - c| <= r for n in the slice s of
+    0..limit, slot 0 always False.
 
-    ``vals`` is x.values(limit)[1:].  Undecided candidates are listed apart;
-    past a quarter of all candidates they flag the set.
+    A point set of Transformed(x, t) read from a prepared x gathers both at
+    t's indices; any other reads x.values(limit).
     """
-    vals = x.values(limit)[1:]
-    cands, _ = _candidates(x, vals, eps)
+    if isinstance(x, _Gathered):
+        idx = x.transform.indices(limit)
+        if int(idx.max()) < len(x.prep.vals):
+            return x.prep.view(idx)
+    vals = x.values(limit)
+    codes = np.unique(np.round(vals[1:] / pitch))
+    return codes, lambda c, r, s=slice(None): np.abs(vals[s] - c) <= r
+
+
+def _point_set(x, limit, eps, verdict_at) -> PointSet:
+    """Candidates c of x whose VerdictValue verdict_at(near, c) is NotIn.
+
+    ``near`` is the hit test of ``_view``.  Undecided candidates are listed
+    apart; past a quarter of all candidates they flag the set.
+    """
+    codes, near = _view(x, limit, eps / 2.0)
+    cands, _ = _candidates(x, codes, eps / 2.0)
     kept: list[float] = []
     undecided: list[float] = []
     for c in cands.tolist():
-        value = verdict_at(vals, c)
+        value = verdict_at(near, c)
         if value is il.VerdictValue.NOT_IN:
             kept.append(c)
         elif value is il.VerdictValue.UNDECIDED:
@@ -104,8 +119,8 @@ def accumulation_points(
     """Candidates whose eps-ball captures at least min_hits terms."""
     _check_horizon(limit, eps)
 
-    def captures(vals, c):
-        hits = int((np.abs(vals - c) <= eps).sum())
+    def captures(near, c):
+        hits = int(np.count_nonzero(near(c, eps)))
         return il.VerdictValue.NOT_IN if hits >= min_hits else il.VerdictValue.IN
 
     return _point_set(x, limit, eps, captures)
@@ -119,27 +134,26 @@ def _classify_hits(
     hits: np.ndarray,
     limit: int,
 ) -> il.Verdict:
-    """Verdict for the hit set of one candidate ball."""
+    """Verdict for the hit set of one candidate ball (slot 0 False)."""
     if ideal.kind == il.FIN:
         # Count rule only: keeps the collapse onto accumulation_points exact.
-        c = int(hits.sum())
+        c = int(np.count_nonzero(hits))
         value = (
             il.VerdictValue.NOT_IN
             if c >= ideal.fin_cutoff
             else il.VerdictValue.IN
         )
         return il.Verdict(value, f"Horizon({limit})", f"count={c}")
-    lo = Fraction(eta) - Fraction(eps)
-    hi = Fraction(eta) + Fraction(eps)
-    expr = x.hit_set(lo, hi)
-    if expr is not None:
-        try:
-            return il.classify_symbolic(ideal, expr)
-        except OutsideFragment:
-            pass
-    ind = np.zeros(limit + 1, dtype=bool)
-    ind[1:] = hits
-    return il.classify_horizon_counts(ideal, ind, limit)
+    # Only a descriptor that overrides hit_set can name its hit set, and the
+    # exact bounds cost more than the horizon count, so build them only then.
+    if type(x).hit_set is not sq.SeqDescriptor.hit_set:
+        expr = x.hit_set(Fraction(eta) - Fraction(eps), Fraction(eta) + Fraction(eps))
+        if expr is not None:
+            try:
+                return il.classify_symbolic(ideal, expr)
+            except OutsideFragment:
+                pass
+    return il.classify_horizon_counts(ideal, hits, limit)
 
 
 def cluster_points(
@@ -148,9 +162,8 @@ def cluster_points(
     """Candidates whose eps-ball hit set avoids the ideal."""
     _check_horizon(limit, eps)
 
-    def hit_verdict(vals, c):
-        hits = np.abs(vals - c) <= eps
-        return _classify_hits(ideal, x, c, eps, hits, limit).value
+    def hit_verdict(near, c):
+        return _classify_hits(ideal, x, c, eps, near(c, eps), limit).value
 
     return _point_set(x, limit, eps, hit_verdict)
 
@@ -176,11 +189,11 @@ def limit_points(
         raise ValueError("ladder must end at the horizon")
     _check_horizon(limit, ladder.base_eps)
 
-    def witness_verdict(vals, c):
+    def witness_verdict(near, c):
         witness = np.zeros(limit + 1, dtype=bool)
         for j in range(1, ladder.depth + 1):
-            lo, hi = ladder.splits[j - 1], ladder.splits[j]
-            witness[lo + 1 : hi + 1] = np.abs(vals[lo:hi] - c) <= ladder.eps_at(j)
+            s = slice(ladder.splits[j - 1] + 1, ladder.splits[j] + 1)
+            witness[s] = near(c, ladder.eps_at(j), s)
         return il.classify_horizon_counts(ideal, witness, limit).value
 
     return _point_set(x, limit, ladder.base_eps, witness_verdict)
@@ -218,6 +231,59 @@ class PreserveOutcome:
     transformed: PointSet
 
 
+# Bytes of hit indicators one _Prepared keeps; past it the cache restarts.
+_HIT_CACHE_BYTES = 1 << 25
+
+
+class _Prepared:
+    """x evaluated once for the point sets of many transforms of x.
+
+    Holds the base point set; x's values through 2*limit, which covers every
+    index a fair-coin sample of horizon ``limit`` reads (its stem ends by
+    ``limit`` and its shift tail adds fewer than ``limit``); the grid code
+    round(x_n / pitch) of each index, as an id into the sorted distinct
+    codes; and the indicators |x_n - c| <= r per (c, r), filled on first use.
+    """
+
+    def __init__(self, kind, x, ideal, limit, eps):
+        self.pointset = point_set(kind, x, ideal, limit, eps)
+        self.vals = x.values(2 * limit)
+        self.grid = np.round(self.vals / (eps / 2.0))
+        self.codes = np.unique(self.grid)
+        self.code_id = np.searchsorted(self.codes, self.grid)
+        # np.unique keeps whichever signed zero its sort puts first.  When x
+        # has both, each sample runs its own np.unique, as the direct path does.
+        neg = np.signbit(self.grid[self.grid == 0])
+        self.mixed_zero = 0 < neg.sum() < len(neg)
+        self._hits: dict[tuple[float, float], np.ndarray] = {}
+        self._max_hits = max(1, _HIT_CACHE_BYTES // len(self.vals))
+
+    def view(self, idx: np.ndarray):
+        """``_view`` of Transformed(x, t), given idx = t.indices(limit)."""
+        if self.mixed_zero:
+            codes = np.unique(self.grid[idx[1:]])
+        else:
+            mark = np.zeros(len(self.codes), dtype=bool)
+            mark[self.code_id[idx[1:]]] = True
+            codes = self.codes[mark]
+        return codes, lambda c, r, s=slice(None): self._hit(c, r)[idx[s]]
+
+    def _hit(self, c: float, r: float) -> np.ndarray:
+        hit = self._hits.get((c, r))
+        if hit is None:
+            if len(self._hits) >= self._max_hits:
+                self._hits.clear()
+            hit = self._hits[c, r] = np.abs(self.vals - c) <= r
+        return hit
+
+
+@dataclass(frozen=True)
+class _Gathered(sq.Transformed):
+    """Transformed(inner, transform) whose point sets read ``prep``."""
+
+    prep: _Prepared = field(compare=False, repr=False)
+
+
 def preserve_outcome(
     kind: str,
     x: sq.SeqDescriptor,
@@ -225,19 +291,21 @@ def preserve_outcome(
     ideal: il.Ideal,
     limit: int,
     eps: float,
-    base: PointSet | None = None,
+    base: _Prepared | None = None,
 ) -> PreserveOutcome:
     """Whether the transform keeps the cluster/limit point set, within eps.
 
     ``decided`` is False when either side excluded a candidate as Undecided,
-    in which case the match answer is not trustworthy either way.
+    in which case the match answer is not trustworthy either way.  ``base``
+    is a ``_Prepared(kind, x, ideal, limit, eps)`` shared by a caller that
+    tests many transforms of x; without it one is built for this call.
     """
     if base is None:
-        base = point_set(kind, x, ideal, limit, eps)
-    moved = point_set(kind, sq.Transformed(x, t), ideal, limit, eps)
-    matched = hausdorff(base.points, moved.points) <= eps
-    decided = not base.undecided and not moved.undecided
-    return PreserveOutcome(matched, decided, base, moved)
+        base = _Prepared(kind, x, ideal, limit, eps)
+    moved = point_set(kind, _Gathered(x, t, base), ideal, limit, eps)
+    matched = hausdorff(base.pointset.points, moved.points) <= eps
+    decided = not base.pointset.undecided and not moved.undecided
+    return PreserveOutcome(matched, decided, base.pointset, moved)
 
 
 def preserves(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -369,12 +370,20 @@ def _tail_reciprocal_upper(s: sx.SetExpr, horizon: int) -> float | None:
     return None if p is None else p.tail_reciprocal_upper(horizon)
 
 
+@lru_cache(maxsize=4)
+def _arange(start: int, stop: int, dtype=None) -> np.ndarray:
+    """np.arange(start, stop, dtype=dtype), shared read-only across calls."""
+    out = np.arange(start, stop, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
 def classify_horizon_counts(
     ideal: Ideal, ind: np.ndarray, horizon: int, tail_upper: float | None = None
 ) -> Verdict:
     """Horizon verdict from a membership indicator (slot 0 unused)."""
     if ideal.kind == FIN:
-        c = int(ind.sum())
+        c = int(np.count_nonzero(ind))
         if c >= ideal.fin_cutoff:
             return _horizon(VerdictValue.NOT_IN, horizon, f"count={c}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"count={c}")
@@ -382,7 +391,7 @@ def classify_horizon_counts(
         cum = np.cumsum(ind)
         lo = max(horizon // 2, 1)
         dhat = float(
-            (cum[lo : horizon + 1] / np.arange(lo, horizon + 1)).max()
+            (cum[lo : horizon + 1] / _arange(lo, horizon + 1)).max()
         )
         if dhat < ideal.theta_low:
             return _horizon(VerdictValue.IN, horizon, f"dhat={dhat:.6g}")
@@ -390,7 +399,7 @@ def classify_horizon_counts(
             return _horizon(VerdictValue.NOT_IN, horizon, f"dhat={dhat:.6g}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"dhat={dhat:.6g}")
     if ideal.kind == SUMMABLE:
-        n = np.arange(1, horizon + 1, dtype=np.float64)
+        n = _arange(1, horizon + 1, np.float64)
         total = float((ind[1 : horizon + 1] / n).sum())
         if total > ideal.sum_bound:
             return _horizon(VerdictValue.NOT_IN, horizon, f"recip-sum={total:.6g}")
@@ -402,7 +411,7 @@ def classify_horizon_counts(
             )
         return _horizon(VerdictValue.UNDECIDED, horizon, f"recip-sum={total:.6g}")
     if ideal.kind == FUBINI_ODD:
-        c = int(ind[1 : horizon + 1 : 2].sum())
+        c = int(np.count_nonzero(ind[1 : horizon + 1 : 2]))
         if c >= ideal.odd_cutoff:
             return _horizon(VerdictValue.NOT_IN, horizon, f"odd-count={c}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"odd-count={c}")

@@ -135,7 +135,10 @@ class SeqDescriptor:
         raise NotImplementedError
 
     def values(self, limit: int) -> np.ndarray:
-        """Float array v with v[0] unused and v[n] = term(n) for n <= limit."""
+        """Float array v with v[n] = term(n) for n <= limit and v[0] NaN.
+
+        v[0] is NaN so that no candidate ever counts slot 0 as a hit.
+        """
         raise NotImplementedError
 
     def hit_set(self, lo: Fraction, hi: Fraction) -> sx.SetExpr | None:
@@ -313,11 +316,14 @@ class Subseq:
     Tail "shift" continues with consecutive integers after the stem; tail
     "set" has no stem and runs along the members of an infinite set
     expression ``tail_set``, which only it takes.  The stem may be given as
-    any integer sequence, such as an int64 array; it is stored as a tuple
-    of Python ints.
+    any integer sequence below 2**63, such as an int64 array.  It is kept
+    as a read-only int64 array, which ``indices`` reads.  A stem given as a
+    tuple is also kept as given; any other is turned into the tuple of
+    Python ints that ``stem`` returns on first read, so a sampled
+    subsequence that is only gathered through never builds it.
     """
 
-    stem: tuple[int, ...] = ()
+    stem: tuple[int, ...] = field(default_factory=tuple)
     tail: str = "shift"
     tail_set: sx.SetExpr | None = None
     _stem_arr: np.ndarray = field(init=False, compare=False, repr=False)
@@ -327,17 +333,29 @@ class Subseq:
             raise ValueError(f"unknown subsequence tail {self.tail!r}")
         if (self.tail == "set") != (self.tail_set is not None):
             raise ValueError("tail 'set', and only it, takes a set expression")
-        arr = np.array(self.stem, dtype=np.int64)
+        try:
+            arr = np.array(self.stem, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("subsequence indices must lie in 1 .. 2**63 - 1") from None
         if self.tail == "set" and arr.size:
             raise ValueError("tail 'set' takes no stem")
-        if (np.diff(arr) <= 0).any():
+        if (arr[1:] <= arr[:-1]).any():
             raise ValueError("subsequence stem must be strictly increasing")
         if arr.size and arr[0] < 1:
             raise ValueError("indices start at 1")
         arr.setflags(write=False)
         object.__setattr__(self, "_stem_arr", arr)
         if not isinstance(self.stem, tuple):
-            object.__setattr__(self, "stem", tuple(arr.tolist()))
+            # The field has no class-level default, so a later read of
+            # ``stem`` falls through to __getattr__.
+            object.__delattr__(self, "stem")
+
+    def __getattr__(self, name):
+        if name != "stem":
+            raise AttributeError(name)
+        stem = tuple(self._stem_arr.tolist())
+        object.__setattr__(self, "stem", stem)
+        return stem
 
     @classmethod
     def from_set(cls, s: sx.SetExpr) -> "Subseq":
@@ -357,14 +375,14 @@ class Subseq:
             cap *= 4
 
     def indices(self, limit: int) -> np.ndarray:
-        """Array s with s[0] unused and s[n] the n-th index, n <= limit."""
+        """Array s with s[0] = 0 and s[n] the n-th index, n <= limit."""
         out = np.zeros(limit + 1, dtype=np.int64)
         if self.tail == "set":
             out[1:] = self._set_members(limit)
             return out
-        k = min(len(self.stem), limit)
+        k = min(len(self._stem_arr), limit)
         out[1 : k + 1] = self._stem_arr[:k]
-        out[k + 1 :] = (self.stem[k - 1] if k else 0) + np.arange(1, limit - k + 1)
+        out[k + 1 :] = (self._stem_arr[k - 1] if k else 0) + np.arange(1, limit - k + 1)
         return out
 
     def index(self, n: int) -> int:
@@ -524,5 +542,5 @@ def sample_subseq(seed: int | random.Random, limit: int) -> Subseq:
     """
     bits = draw_inclusion_bits(seed, limit)
     raw = np.frombuffer(bits.to_bytes((limit + 7) // 8, "little"), dtype=np.uint8)
-    mask = np.unpackbits(raw, bitorder="little")[:limit]
+    mask = np.unpackbits(raw, bitorder="little")[:limit].view(bool)
     return Subseq(np.flatnonzero(mask) + 1, "shift")

@@ -95,6 +95,15 @@ class TestPreserve:
         assert code == 0
         assert json.loads(out)["preserved"] is True
 
+    def test_index_past_int64_is_an_error_line(self, capsys):
+        code = cli.main(
+            ["preserve", "--seq", "alt(0,1)", "--ideal", "fin",
+             "--transform", "stem[1,99999999999999999999]", "-N", "1000"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+
 
 class TestGameAndVerify:
     def test_transcript_file_and_verify(self, capsys, tmp_path):
@@ -184,7 +193,9 @@ class TestSeriesCommand:
         )
         assert code == 0
 
-    @pytest.mark.parametrize("text", ["7", "[true, 2]", "[1.5, 2]", "[3, 2]"])
+    @pytest.mark.parametrize(
+        "text", ["7", "[true, 2]", "[1.5, 2]", "[3, 2]", "[1, 99999999999999999999]"]
+    )
     def test_sigma_from_bad_file(self, capsys, tmp_path, text):
         stem_file = tmp_path / "stem.json"
         stem_file.write_text(text)
