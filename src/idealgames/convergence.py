@@ -9,7 +9,7 @@ surface through flags.  All functions here are pure and deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -79,14 +79,16 @@ def _view(x: sq.SeqDescriptor, limit: int, pitch: float):
     ``near(c, r, s)``: the bools |x_n - c| <= r for n in the slice s of
     0..limit, slot 0 always False.
 
-    A point set of Transformed(x, t) read from a prepared x gathers both at
-    t's indices; any other reads x.values(limit).
+    A ``_Gathered`` sequence carries its own, gathered from a prepared x;
+    any other reads x.values(limit).
     """
     if isinstance(x, _Gathered):
-        idx = x.transform.indices(limit)
-        if int(idx.max()) < len(x.prep.vals):
-            return x.prep.view(idx)
-    vals = x.values(limit)
+        return x.view
+    return _view_of(x.values(limit), pitch)
+
+
+def _view_of(vals: np.ndarray, pitch: float):
+    """``_view`` of the sequence whose values array is vals."""
     codes = np.unique(np.round(vals[1:] / pitch))
     return codes, lambda c, r, s=slice(None): np.abs(vals[s] - c) <= r
 
@@ -146,8 +148,9 @@ def _classify_hits(
         return il.Verdict(value, f"Horizon({limit})", f"count={c}")
     # Only a descriptor that overrides hit_set can name its hit set, and the
     # exact bounds cost more than the horizon count, so build them only then.
-    if type(x).hit_set is not sq.SeqDescriptor.hit_set:
-        expr = x.hit_set(Fraction(eta) - Fraction(eps), Fraction(eta) + Fraction(eps))
+    seq = x.seq if isinstance(x, _Gathered) else x
+    if type(seq).hit_set is not sq.SeqDescriptor.hit_set:
+        expr = seq.hit_set(Fraction(eta) - Fraction(eps), Fraction(eta) + Fraction(eps))
         if expr is not None:
             try:
                 return il.classify_symbolic(ideal, expr)
@@ -231,57 +234,53 @@ class PreserveOutcome:
     transformed: PointSet
 
 
-# Bytes of hit indicators one _Prepared keeps; past it the cache restarts.
-_HIT_CACHE_BYTES = 1 << 25
-
-
 class _Prepared:
-    """x evaluated once for the point sets of many transforms of x.
+    """x evaluated once for its own point set and those of many transforms.
 
-    Holds the base point set; x's values through 2*limit, which covers every
-    index a fair-coin sample of horizon ``limit`` reads (its stem ends by
-    ``limit`` and its shift tail adds fewer than ``limit``); the grid code
-    round(x_n / pitch) of each index, as an id into the sorted distinct
-    codes; and the indicators |x_n - c| <= r per (c, r), filled on first use.
+    Holds x's values through ``reach``, which the caller sets to cover every
+    index its transforms read (2 * limit covers a fair-coin sample of
+    horizon ``limit``: its stem ends by ``limit`` and its shift tail adds
+    fewer than ``limit``); the grid code round(x_n / pitch) of each index,
+    as an id into the sorted distinct codes; and x's own point set, read
+    from these.
     """
 
-    def __init__(self, kind, x, ideal, limit, eps):
-        self.pointset = point_set(kind, x, ideal, limit, eps)
-        self.vals = x.values(2 * limit)
-        self.grid = np.round(self.vals / (eps / 2.0))
-        self.codes = np.unique(self.grid)
-        self.code_id = np.searchsorted(self.codes, self.grid)
+    def __init__(self, kind, x, ideal, limit, eps, reach):
+        _check_horizon(limit, eps)
+        self.key = (kind, x, ideal, limit, eps)
+        self.pitch = eps / 2.0
+        self.vals = x.values(reach)
+        grid = np.round(self.vals / self.pitch)
+        self.codes = np.unique(grid)
+        self.code_id = np.searchsorted(self.codes, grid)
         # np.unique keeps whichever signed zero its sort puts first.  When x
-        # has both, each sample runs its own np.unique, as the direct path does.
-        neg = np.signbit(self.grid[self.grid == 0])
+        # has both, each view runs its own np.unique, as the direct path does.
+        neg = np.signbit(grid[grid == 0])
         self.mixed_zero = 0 < neg.sum() < len(neg)
-        self._hits: dict[tuple[float, float], np.ndarray] = {}
-        self._max_hits = max(1, _HIT_CACHE_BYTES // len(self.vals))
+        del grid
+        self.pointset = point_set(
+            kind, _Gathered(x, self.view(slice(0, limit + 1))), ideal, limit, eps
+        )
 
-    def view(self, idx: np.ndarray):
-        """``_view`` of Transformed(x, t), given idx = t.indices(limit)."""
+    def view(self, idx: np.ndarray | slice):
+        """``_view`` of the sequence whose n-th term is x's term idx[n]."""
+        v = self.vals[idx]
         if self.mixed_zero:
-            codes = np.unique(self.grid[idx[1:]])
-        else:
-            mark = np.zeros(len(self.codes), dtype=bool)
-            mark[self.code_id[idx[1:]]] = True
-            codes = self.codes[mark]
-        return codes, lambda c, r, s=slice(None): self._hit(c, r)[idx[s]]
-
-    def _hit(self, c: float, r: float) -> np.ndarray:
-        hit = self._hits.get((c, r))
-        if hit is None:
-            if len(self._hits) >= self._max_hits:
-                self._hits.clear()
-            hit = self._hits[c, r] = np.abs(self.vals - c) <= r
-        return hit
+            return _view_of(v, self.pitch)
+        mark = np.zeros(len(self.codes), dtype=bool)
+        mark[self.code_id[idx][1:]] = True
+        return self.codes[mark], lambda c, r, s=slice(None): np.abs(v[s] - c) <= r
 
 
-@dataclass(frozen=True)
-class _Gathered(sq.Transformed):
-    """Transformed(inner, transform) whose point sets read ``prep``."""
+class _Gathered:
+    """seq with the ``_view`` of its point sets, gathered from a ``_Prepared``
+    x at the indices that seq reads; its specials and hit sets are seq's."""
 
-    prep: _Prepared = field(compare=False, repr=False)
+    def __init__(self, seq: sq.SeqDescriptor, view):
+        self.seq, self.view = seq, view
+
+    def specials(self):
+        return self.seq.specials()
 
 
 def preserve_outcome(
@@ -297,12 +296,22 @@ def preserve_outcome(
 
     ``decided`` is False when either side excluded a candidate as Undecided,
     in which case the match answer is not trustworthy either way.  ``base``
-    is a ``_Prepared(kind, x, ideal, limit, eps)`` shared by a caller that
-    tests many transforms of x; without it one is built for this call.
+    is a ``_Prepared`` made with the same kind, x, ideal, limit and eps by a
+    caller that tests many transforms of x; without it x is evaluated
+    through the last index t reads, for this call alone.
     """
+    _check_horizon(limit, eps)
+    idx = t.indices(limit)
+    top = int(idx.max())
     if base is None:
-        base = _Prepared(kind, x, ideal, limit, eps)
-    moved = point_set(kind, _Gathered(x, t, base), ideal, limit, eps)
+        base = _Prepared(kind, x, ideal, limit, eps, max(limit, top))
+    elif base.key != (kind, x, ideal, limit, eps):
+        raise ValueError("base was prepared for another kind, x, ideal, limit or eps")
+    seq = sq.Transformed(x, t)
+    if top < len(base.vals):
+        seq = _Gathered(seq, base.view(idx))
+    del idx  # a horizon-length array the view no longer needs
+    moved = point_set(kind, seq, ideal, limit, eps)
     matched = hausdorff(base.pointset.points, moved.points) <= eps
     decided = not base.pointset.undecided and not moved.undecided
     return PreserveOutcome(matched, decided, base.pointset, moved)

@@ -111,16 +111,15 @@ def estimate_preservation(
     Returns the merged report plus per-batch reports (one row per batch for
     CSV export).
 
-    x is evaluated per call, not per sample: once through horizon for its
-    own point set and once through 2 * horizon, which covers every index a
-    sampled subsequence reads.  Each sample gathers its values, candidates
-    and hit sets at its own indices from that evaluation, so memory is
-    O(horizon), not O(samples * horizon); the hit indicators shared between
-    samples are capped at a fixed number of bytes.
+    x is evaluated once per call, not per sample: through 2 * horizon, which
+    covers every index a sampled subsequence reads.  x's own point set is
+    read from that evaluation, and each sample gathers its values and grid
+    codes at its own indices, so memory is O(horizon), not
+    O(samples * horizon).
     """
     if samples < 100:
         raise ValueError("use at least 100 samples")
-    base = cv._Prepared(kind, x, ideal, horizon, eps)
+    base = cv._Prepared(kind, x, ideal, horizon, eps, 2 * horizon)
     batch_size = batch_size or samples
     config = {
         "seq": x.label(),

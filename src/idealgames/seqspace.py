@@ -382,7 +382,8 @@ class Subseq:
             return out
         k = min(len(self._stem_arr), limit)
         out[1 : k + 1] = self._stem_arr[:k]
-        out[k + 1 :] = (self._stem_arr[k - 1] if k else 0) + np.arange(1, limit - k + 1)
+        last = self._stem_arr[k - 1] if k else 0
+        np.add(last, np.arange(1, limit - k + 1), out=out[k + 1 :])
         return out
 
     def index(self, n: int) -> int:

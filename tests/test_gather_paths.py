@@ -1,14 +1,14 @@
 """Point sets of transformed sequences gathered from one evaluation of x,
 against the direct per-transform path, plus a Monte Carlo digest pin.
 
-``preserve_outcome`` evaluates x once through 2*limit and reads the values,
-grid codes and hit indicators of each Transformed(x, t) at t's indices.
-That needs ``x.values(m)`` to be a prefix of ``x.values(T)`` for m <= T,
-checked first.  The reference below is the direct path it replaced: it
-evaluates Transformed(x, t) itself, snaps its values with ``np.unique`` and
-compares every value with every candidate.  The pin fixes the bytes of a
-ratenum/summable estimate and of its first outcomes, recorded on the code
-before the gather was written.
+``preserve_outcome`` evaluates x once, through the last index its
+transforms read, and gathers the values and grid codes of each
+Transformed(x, t) at t's indices.  That needs ``x.values(m)`` to be a
+prefix of ``x.values(T)`` for m <= T, checked first.  The reference below
+is the direct path it replaced: it evaluates Transformed(x, t) itself,
+snaps its values with ``np.unique`` and compares every value with every
+candidate.  The pin fixes the bytes of a ratenum/summable estimate and of
+its first outcomes, recorded on the code before the gather was written.
 """
 import hashlib
 import json
@@ -172,16 +172,18 @@ TRANSFORMS = [
     sq.sample_subseq(mc.child_seed(7, 1), LIMIT),
     sq.Subseq.from_set(sx.ArithProg(2, 2)),
     sq.Perm((3, 1, 2, 6, 5, 4)),
-    # reads past 2 * LIMIT, so x is evaluated for this transform alone
+    # reads past 2 * LIMIT, so a shared x takes the direct path for it
     sq.Subseq((1, 3 * LIMIT)),
 ]
 
 
+def _prepared(kind, x, ideal, eps):
+    return cv._Prepared(kind, x, ideal, LIMIT, eps, 2 * LIMIT)
+
+
 def test_signed_zero_case_takes_the_unique_route():
-    prep = cv._Prepared("cluster", dsl.parse_seq(SEQS[-1]), il.fin(), LIMIT, 0.05)
-    assert prep.mixed_zero
-    prep = cv._Prepared("cluster", dsl.parse_seq("inv"), il.fin(), LIMIT, 0.05)
-    assert not prep.mixed_zero
+    assert _prepared("cluster", dsl.parse_seq(SEQS[-1]), il.fin(), 0.05).mixed_zero
+    assert not _prepared("cluster", dsl.parse_seq("inv"), il.fin(), 0.05).mixed_zero
 
 
 @pytest.mark.parametrize("text", SEQS)
@@ -190,7 +192,7 @@ def test_gathered_point_sets_match_direct_path(text, eps):
     x = dsl.parse_seq(text)
     for ideal in il.BUILTINS:
         for kind, ref in _REF.items():
-            prep = cv._Prepared(kind, x, ideal, LIMIT, eps)
+            prep = _prepared(kind, x, ideal, eps)
             ref_base = ref(x, ideal, LIMIT, eps)
             assert _bits(prep.pointset) == _bits(ref_base)
             for t in TRANSFORMS:
@@ -201,21 +203,26 @@ def test_gathered_point_sets_match_direct_path(text, eps):
                     assert got.base is prep.pointset or _bits(got.base) == _bits(ref_base)
                     assert got.matched == (cv.hausdorff(ref_base.points, want.points) <= eps)
                     assert got.decided == (not ref_base.undecided and not want.undecided)
-    prep = cv._Prepared("cluster", x, il.fin(), LIMIT, eps)
-    for t in TRANSFORMS:
-        got = cv.accumulation_points(cv._Gathered(x, t, prep), LIMIT, eps)
-        assert _bits(got) == _bits(_ref_accumulation(sq.Transformed(x, t), LIMIT, eps))
+    prep = _prepared("cluster", x, il.fin(), eps)
+    for t in TRANSFORMS[:-1]:
+        y = sq.Transformed(x, t)
+        gathered = cv._Gathered(y, prep.view(t.indices(LIMIT)))
+        got = cv.accumulation_points(gathered, LIMIT, eps)
+        assert _bits(got) == _bits(_ref_accumulation(y, LIMIT, eps))
 
 
-def test_hit_cache_restarts_when_full(monkeypatch):
-    monkeypatch.setattr(cv, "_HIT_CACHE_BYTES", 3 * (2 * LIMIT + 1))
-    x = dsl.parse_seq("ratenum")
-    prep = cv._Prepared("cluster", x, il.density0(), LIMIT, 0.05)
-    t = TRANSFORMS[0]
-    got = cv.preserve_outcome("cluster", x, t, il.density0(), LIMIT, 0.05, base=prep)
-    assert len(prep._hits) <= 3
-    want = _ref_cluster(sq.Transformed(x, t), il.density0(), LIMIT, 0.05)
-    assert _bits(got.transformed) == _bits(want)
+def test_base_prepared_for_another_call_is_refused():
+    x, t = dsl.parse_seq("alt(0,1)"), TRANSFORMS[0]
+    prep = _prepared("cluster", x, il.fin(), 0.05)
+    for kind, y, ideal, limit, eps in [
+        ("limit", x, il.fin(), LIMIT, 0.05),
+        ("cluster", dsl.parse_seq("alt(1,0)"), il.fin(), LIMIT, 0.05),
+        ("cluster", x, il.density0(), LIMIT, 0.05),
+        ("cluster", x, il.fin(), LIMIT // 2, 0.05),
+        ("cluster", x, il.fin(), LIMIT, 0.04),
+    ]:
+        with pytest.raises(ValueError, match="base was prepared for another"):
+            cv.preserve_outcome(kind, y, t, ideal, limit, eps, base=prep)
 
 
 # ---------------------------------------------------------------------------
