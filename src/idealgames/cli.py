@@ -2,15 +2,14 @@
 
 Exit codes: 0 success, 1 error, 2 soft failure (Undecided-dominated
 results).  mc and witness require --seed; a randomized strategy or oracle
-spec takes its seed from the spec or from --seed.  The environment variable
-IDEALGAMES_HORIZON_CAP bounds every horizon argument as a memory guard.
+spec takes its seed from the spec or from --seed.  The library enforces
+IDEALGAMES_HORIZON_CAP on every horizon and every index a stem or set tail names.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -28,23 +27,6 @@ from .errors import IdealGamesError
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
-
-DEFAULT_HORIZON_CAP = 2_000_000
-
-
-def _horizon_cap() -> int:
-    raw = os.environ.get("IDEALGAMES_HORIZON_CAP")
-    return int(raw) if raw else DEFAULT_HORIZON_CAP
-
-
-def _check_horizon(n: int) -> int:
-    cap = _horizon_cap()
-    if n > cap:
-        raise IdealGamesError(
-            f"horizon {n} exceeds IDEALGAMES_HORIZON_CAP={cap}"
-        )
-    return n
-
 
 def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2)
@@ -79,9 +61,9 @@ def _cmd_classify(args) -> int:
     if args.mode == "symbolic":
         verdict = il.classify_symbolic(ideal, expr)
     elif args.mode == "horizon":
-        verdict = il.classify_horizon(ideal, expr, _check_horizon(args.horizon))
+        verdict = il.classify_horizon(ideal, expr, args.horizon)
     else:
-        verdict = il.classify(ideal, expr, _check_horizon(args.horizon))
+        verdict = il.classify(ideal, expr, args.horizon)
     _emit({"set": expr.to_dsl(), "ideal": ideal.kind, "verdict": verdict.as_dict()},
           args.out)
     return EXIT_OK if verdict.decided else EXIT_UNDECIDED
@@ -90,7 +72,7 @@ def _cmd_classify(args) -> int:
 def _cmd_cluster(args) -> int:
     x = dsl.parse_seq(args.seq)
     ideal = il.Ideal.from_name(args.ideal)
-    ps = cv.cluster_points(x, ideal, _check_horizon(args.horizon), args.eps)
+    ps = cv.cluster_points(x, ideal, args.horizon, args.eps)
     _emit({"seq": x.label(), "ideal": ideal.kind, **_pointset_payload(ps)}, args.out)
     return EXIT_UNDECIDED if cv.UNDECIDED_FLAG in ps.flags else EXIT_OK
 
@@ -98,7 +80,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_limit(args) -> int:
     x = dsl.parse_seq(args.seq)
     ideal = il.Ideal.from_name(args.ideal)
-    ladder = cv.default_ladder(args.eps, _check_horizon(args.horizon), args.depth)
+    ladder = cv.default_ladder(args.eps, args.horizon, args.depth)
     ps = cv.limit_points(x, ideal, args.horizon, ladder)
     _emit({"seq": x.label(), "ideal": ideal.kind, **_pointset_payload(ps)}, args.out)
     return EXIT_UNDECIDED if cv.UNDECIDED_FLAG in ps.flags else EXIT_OK
@@ -108,9 +90,7 @@ def _cmd_preserve(args) -> int:
     x = dsl.parse_seq(args.seq)
     ideal = il.Ideal.from_name(args.ideal)
     t = dsl.parse_transform(args.transform)
-    outcome = cv.preserve_outcome(
-        args.kind, x, t, ideal, _check_horizon(args.horizon), args.eps
-    )
+    outcome = cv.preserve_outcome(args.kind, x, t, ideal, args.horizon, args.eps)
     _emit(
         {
             "seq": x.label(),
@@ -172,9 +152,7 @@ def _cmd_series(args) -> int:
             sigma = dsl.parse_transform(args.sigma)
         if not isinstance(sigma, sq.Subseq):
             raise IdealGamesError("series takes a subsequence, not a permutation")
-        verdict = se.subseq_sums_bounded(
-            sigma, x, ideal, _check_horizon(args.horizon), args.k_max
-        )
+        verdict = se.subseq_sums_bounded(sigma, x, ideal, args.horizon, args.k_max)
         _emit(
             {
                 "seq": x.label(),
@@ -203,7 +181,7 @@ def _cmd_mc(args) -> int:
         il.Ideal.from_name(args.ideal),
         args.kind,
         args.samples,
-        _check_horizon(args.horizon),
+        args.horizon,
         args.eps,
         args.seed,
         batch_size=args.batch_size,
@@ -230,7 +208,7 @@ def _cmd_witness(args) -> int:
         ideal,
         trials=args.trials,
         seed=args.seed,
-        horizon=_check_horizon(args.horizon),
+        horizon=args.horizon,
     )
     witness = il.talagrand_witness(ideal)
     payload = report.as_dict()

@@ -12,6 +12,7 @@ safe to call in parallel.
 from __future__ import annotations
 
 import enum
+import os
 import random
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import periodic
 from . import setexpr as sx
-from .errors import HorizonTooSmall, OutsideFragment
+from .errors import HorizonCapExceeded, HorizonTooSmall, OutsideFragment
 
 
 class VerdictValue(enum.Enum):
@@ -418,10 +419,26 @@ def classify_horizon_counts(
     raise ValueError(ideal.kind)
 
 
-def check_horizon(horizon: int) -> None:
-    """Raise HorizonTooSmall unless the horizon is at least 100."""
-    if horizon < 100:
-        raise HorizonTooSmall(f"horizon {horizon} < 100")
+def horizon_cap() -> int:
+    """IDEALGAMES_HORIZON_CAP, or 2,000,000 when it is unset."""
+    raw = os.environ.get("IDEALGAMES_HORIZON_CAP")
+    return int(raw) if raw else 2_000_000
+
+
+def check_horizon(horizon: int, floor: int | None = 100) -> None:
+    """Raise HorizonTooSmall below floor and HorizonCapExceeded above the cap.
+
+    The library's one memory guard: every entry that takes a horizon calls
+    it, and so does ``Subseq.indices`` for a stem index past its horizon.
+    A floor of None checks the cap alone.
+    """
+    if floor is not None and horizon < floor:
+        raise HorizonTooSmall(f"horizon {horizon} < {floor}")
+    cap = horizon_cap()
+    if horizon > cap:
+        raise HorizonCapExceeded(
+            f"horizon {horizon} exceeds IDEALGAMES_HORIZON_CAP={cap}"
+        )
 
 
 def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
@@ -436,6 +453,7 @@ def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
 
 def classify(ideal: Ideal, s: sx.SetExpr, horizon: int = 10_000) -> Verdict:
     """Symbolic verdict when available, horizon verdict otherwise."""
+    check_horizon(horizon, floor=None)
     try:
         return classify_symbolic(ideal, s)
     except OutsideFragment:

@@ -19,6 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import ideals as il
 from . import setexpr as sx
 from .errors import HorizonCapExceeded, SpaceMismatch
 
@@ -306,9 +307,6 @@ class Space(enum.Enum):
     PI = "pi"
 
 
-_SET_ENUM_CAP = 50_000_000
-
-
 @dataclass(frozen=True)
 class Subseq:
     """Strictly increasing index map: explicit stem plus a tail rule.
@@ -362,27 +360,31 @@ class Subseq:
         return cls((), "set", s)
 
     def _set_members(self, need: int) -> list[int]:
-        cap = max(1024, 4 * need)
+        cap = il.horizon_cap()
+        reach = min(max(1024, 4 * need), cap)
         while True:
-            members = sx.prefix(self.tail_set, cap)
+            members = sx.prefix(self.tail_set, reach)
             if len(members) >= need:
                 return members[:need]
-            if cap > _SET_ENUM_CAP:
+            if reach >= cap:
                 raise HorizonCapExceeded(
                     f"{self.tail_set.to_dsl()} yielded only {len(members)} "
-                    f"members within {cap}"
+                    f"members within IDEALGAMES_HORIZON_CAP={cap}"
                 )
-            cap *= 4
+            reach = min(4 * reach, cap)
 
     def indices(self, limit: int) -> np.ndarray:
-        """Array s with s[0] = 0 and s[n] the n-th index, n <= limit."""
+        """Array s with s[0] = 0 and s[n] the n-th index, n <= limit; a stem
+        index past limit must lie within the horizon cap."""
         out = np.zeros(limit + 1, dtype=np.int64)
         if self.tail == "set":
             out[1:] = self._set_members(limit)
             return out
         k = min(len(self._stem_arr), limit)
-        out[1 : k + 1] = self._stem_arr[:k]
         last = self._stem_arr[k - 1] if k else 0
+        if last > limit:
+            il.check_horizon(last, floor=None)
+        out[1 : k + 1] = self._stem_arr[:k]
         np.add(last, np.arange(1, limit - k + 1), out=out[k + 1 :])
         return out
 

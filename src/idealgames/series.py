@@ -34,8 +34,7 @@ class PartialSumView:
 
 def partial_sums(x: sq.SeqDescriptor, horizon: int) -> PartialSumView:
     """S_n = x_1 + ... + x_n for n up to the horizon."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    il.check_horizon(horizon, floor=1)
     terms = [x.term(n) for n in range(1, horizon + 1)]
     exact = all(isinstance(t, (int, Fraction)) for t in terms)
     out = []
