@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ideals as il
+from . import periodic
 from . import setexpr as sx
 from .errors import HorizonCapExceeded, SpaceMismatch
 
@@ -319,12 +320,16 @@ class Subseq:
     tuple is also kept as given; any other is turned into the tuple of
     Python ints that ``stem`` returns on first read, so a sampled
     subsequence that is only gathered through never builds it.
+
+    A set tail keeps the members it has enumerated, with the bound it
+    enumerated them through, so later reads reuse them.
     """
 
     stem: tuple[int, ...] = field(default_factory=tuple)
     tail: str = "shift"
     tail_set: sx.SetExpr | None = None
     _stem_arr: np.ndarray = field(init=False, compare=False, repr=False)
+    _members: tuple[int, list[int]] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.tail not in ("shift", "set"):
@@ -343,6 +348,7 @@ class Subseq:
             raise ValueError("indices start at 1")
         arr.setflags(write=False)
         object.__setattr__(self, "_stem_arr", arr)
+        object.__setattr__(self, "_members", (0, []))
         if not isinstance(self.stem, tuple):
             # The field has no class-level default, so a later read of
             # ``stem`` falls through to __getattr__.
@@ -360,25 +366,41 @@ class Subseq:
         return cls((), "set", s)
 
     def _set_members(self, need: int) -> list[int]:
+        """The members of tail_set enumerated so far, at least need of them.
+
+        A set whose normal form is finite with fewer members fails at once;
+        any other is enumerated no further than the horizon cap.
+        """
+        reach, members = self._members
+        if len(members) >= need:
+            return members
+        try:
+            normal = periodic.reduce(self.tail_set)
+        except periodic.TooComplex:
+            normal = None
+        if normal is not None and normal.is_finite and normal.block_count() < need:
+            raise HorizonCapExceeded(
+                f"{self.tail_set.to_dsl()} yielded only {normal.block_count()} "
+                f"members: the set is finite"
+            )
         cap = il.horizon_cap()
-        reach = min(max(1024, 4 * need), cap)
-        while True:
-            members = sx.prefix(self.tail_set, reach)
-            if len(members) >= need:
-                return members[:need]
+        while len(members) < need:
             if reach >= cap:
                 raise HorizonCapExceeded(
                     f"{self.tail_set.to_dsl()} yielded only {len(members)} "
                     f"members within IDEALGAMES_HORIZON_CAP={cap}"
                 )
-            reach = min(4 * reach, cap)
+            reach = min(max(1024, 4 * need, 4 * reach), cap)
+            members = sx.prefix(self.tail_set, reach)
+        object.__setattr__(self, "_members", (reach, members))
+        return members
 
     def indices(self, limit: int) -> np.ndarray:
         """Array s with s[0] = 0 and s[n] the n-th index, n <= limit; a stem
         index past limit must lie within the horizon cap."""
         out = np.zeros(limit + 1, dtype=np.int64)
         if self.tail == "set":
-            out[1:] = self._set_members(limit)
+            out[1:] = self._set_members(limit)[:limit]
             return out
         k = min(len(self._stem_arr), limit)
         last = self._stem_arr[k - 1] if k else 0
@@ -392,7 +414,7 @@ class Subseq:
         if n < 1:
             raise ValueError("positions start at 1")
         if self.tail == "set":
-            return int(self.indices(n)[n])
+            return self._set_members(n)[n - 1]
         if n <= len(self.stem):
             return self.stem[n - 1]
         return (self.stem[-1] if self.stem else 0) + n - len(self.stem)

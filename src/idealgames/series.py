@@ -79,6 +79,7 @@ def ideal_bounded(
     if isinstance(y, sq.SeqDescriptor):
         if horizon is None:
             raise ValueError("need a horizon for a raw sequence")
+        il.check_horizon(horizon, floor=1)
         values = [y.term(n) for n in range(1, horizon + 1)]
         label_horizon = horizon
     else:
