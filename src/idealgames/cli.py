@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 error, 2 soft failure (Undecided-dominated
 results).  mc and witness require --seed; a randomized strategy or oracle
 spec takes its seed from the spec or from --seed.  The library enforces
-IDEALGAMES_HORIZON_CAP on every horizon and every index a stem or set tail names.
+IDEALGAMES_HORIZON_CAP on every horizon and on every index a stem or set
+tail names.
 """
 from __future__ import annotations
 

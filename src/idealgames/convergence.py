@@ -300,7 +300,8 @@ def preserve_outcome(
     caller that tests many transforms of x; without it x is evaluated
     through the last index t reads, for this call alone.
     """
-    _check_horizon(limit, eps)
+    if base is None:
+        _check_horizon(limit, eps)  # a base checked them when it was prepared
     idx = t.indices(limit)
     top = int(idx.max())
     if base is None:

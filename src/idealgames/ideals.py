@@ -428,9 +428,9 @@ def horizon_cap() -> int:
 def check_horizon(horizon: int, floor: int | None = 100) -> None:
     """Raise HorizonTooSmall below floor and HorizonCapExceeded above the cap.
 
-    The library's one memory guard: every entry that takes a horizon calls
-    it, and so does ``Subseq.indices`` for a stem index past its horizon.
-    A floor of None checks the cap alone.
+    The library's guard on horizons: every entry that takes one calls it.
+    ``Subseq`` bounds the indices a stem or set tail names by
+    ``horizon_cap`` itself.  A floor of None checks the cap alone.
     """
     if floor is not None and horizon < floor:
         raise HorizonTooSmall(f"horizon {horizon} < {floor}")
@@ -451,13 +451,18 @@ def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
     return classify_horizon_counts(ideal, ind, horizon, tail_upper)
 
 
-def classify(ideal: Ideal, s: sx.SetExpr, horizon: int = 10_000) -> Verdict:
-    """Symbolic verdict when available, horizon verdict otherwise."""
-    check_horizon(horizon, floor=None)
+def classify(ideal: Ideal, s: sx.SetExpr, horizon: int | None = None) -> Verdict:
+    """Symbolic verdict when available, horizon verdict otherwise.
+
+    A horizon the caller gives is checked against the cap before the
+    symbolic layer is tried; without one the fallback uses 10,000.
+    """
+    if horizon is not None:
+        check_horizon(horizon, floor=None)
     try:
         return classify_symbolic(ideal, s)
     except OutsideFragment:
-        return classify_horizon(ideal, s, horizon)
+        return classify_horizon(ideal, s, 10_000 if horizon is None else horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import ideals as il
-from . import periodic
 from . import setexpr as sx
 from .errors import HorizonCapExceeded, SpaceMismatch
 
@@ -368,21 +367,11 @@ class Subseq:
     def _set_members(self, need: int) -> list[int]:
         """The members of tail_set enumerated so far, at least need of them.
 
-        A set whose normal form is finite with fewer members fails at once;
-        any other is enumerated no further than the horizon cap.
+        The set is enumerated no further than the horizon cap.
         """
         reach, members = self._members
         if len(members) >= need:
             return members
-        try:
-            normal = periodic.reduce(self.tail_set)
-        except periodic.TooComplex:
-            normal = None
-        if normal is not None and normal.is_finite and normal.block_count() < need:
-            raise HorizonCapExceeded(
-                f"{self.tail_set.to_dsl()} yielded only {normal.block_count()} "
-                f"members: the set is finite"
-            )
         cap = il.horizon_cap()
         while len(members) < need:
             if reach >= cap:
@@ -396,16 +385,25 @@ class Subseq:
         return members
 
     def indices(self, limit: int) -> np.ndarray:
-        """Array s with s[0] = 0 and s[n] the n-th index, n <= limit; a stem
-        index past limit must lie within the horizon cap."""
+        """Array s with s[0] = 0 and s[n] the n-th index, n <= limit.
+
+        When a stem index lies past limit, the largest index s holds,
+        last + limit - k for the k-th stem index last, must lie within the
+        horizon cap.
+        """
         out = np.zeros(limit + 1, dtype=np.int64)
         if self.tail == "set":
             out[1:] = self._set_members(limit)[:limit]
             return out
         k = min(len(self._stem_arr), limit)
-        last = self._stem_arr[k - 1] if k else 0
+        last = int(self._stem_arr[k - 1]) if k else 0
         if last > limit:
-            il.check_horizon(last, floor=None)
+            top, cap = last + limit - k, il.horizon_cap()
+            if top > cap:
+                raise HorizonCapExceeded(
+                    f"stem index {last} reads x through index {top}, "
+                    f"past IDEALGAMES_HORIZON_CAP={cap}"
+                )
         out[1 : k + 1] = self._stem_arr[:k]
         np.add(last, np.arange(1, limit - k + 1), out=out[k + 1 :])
         return out

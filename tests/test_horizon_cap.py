@@ -1,5 +1,7 @@
 """IDEALGAMES_HORIZON_CAP is enforced by the library, on every entry that
 takes a horizon and on every index a stem or set tail names."""
+import json
+
 import pytest
 
 from idealgames import (
@@ -48,6 +50,26 @@ class TestHorizons:
         with over_cap():
             il.classify(il.fin(), sx.ArithProg(1, 2), 2000)
 
+    def test_classify_without_horizon_checks_only_its_fallback(self):
+        assert il.classify(il.fin(), sx.ArithProg(1, 2)).mode == "Symbolic"
+        with over_cap():
+            il.classify(il.density0(), sx.Compl(sx.schedule_even(sx.generator("pow2"))))
+
+    @pytest.mark.parametrize("argv", [
+        ["game", "--ideal", "fin", "--strat-ii", "empty", "--rounds", "5"],
+        ["generic", "--mode", "pi-game", "--seq", "alt(0,1)", "--ideal",
+         "density0", "--rounds", "5", "--oracles", "random", "--seed", "7"],
+    ])
+    def test_game_and_verify_under_a_low_cap(self, argv, tmp_path, capsys):
+        # These verdicts classify the union of the played blocks, which is
+        # decided symbolically and takes no horizon.
+        path = tmp_path / "t.jsonl"
+        assert cli.main(argv + ["--out", str(path)]) == 0
+        final = json.loads(path.read_text().splitlines()[-1])
+        assert final["verdict"]["mode"] == "Symbolic"
+        assert cli.main(["verify", "--transcript", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+
     def test_point_sets(self):
         with over_cap():
             cv.cluster_points(ALT, il.fin(), 2000, 0.05)
@@ -82,8 +104,10 @@ class TestTransformIndices:
         with over_cap():
             cv.preserve_outcome("cluster", ALT, t, il.fin(), 500, 0.05)
 
-    def test_stem_index_equal_to_cap_passes(self):
-        assert sq.Subseq((1000,)).indices(3).tolist() == [0, 1000, 1001, 1002]
+    def test_largest_index_equal_to_cap_passes(self):
+        assert sq.Subseq((998,)).indices(3).tolist() == [0, 998, 999, 1000]
+        with pytest.raises(HorizonCapExceeded, match="through index 1001, past"):
+            sq.Subseq((999,)).indices(3)
 
     def test_huge_stem_index_raises_instead_of_wrapping(self, monkeypatch):
         monkeypatch.delenv("IDEALGAMES_HORIZON_CAP")
@@ -98,12 +122,10 @@ class TestTransformIndices:
         assert max(calls) == 1000
         assert t.indices(10)[-1] == 1000
 
-    def test_finite_set_tail_fails_before_enumerating(self, monkeypatch):
-        calls = count_prefix_calls(monkeypatch)
+    def test_finite_set_tail_fails(self):
         t = sq.Subseq.from_set(sx.Finite(tuple(k * k for k in range(1, 101))))
-        with pytest.raises(HorizonCapExceeded, match="yielded only 100 members"):
+        with pytest.raises(HorizonCapExceeded, match="yielded only 31 members"):
             t.indices(101)
-        assert calls == []
         assert t.index(31) == 961
 
     def test_cli_preserve_stem_beyond_cap(self, capsys):
@@ -113,7 +135,10 @@ class TestTransformIndices:
         )
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: horizon 3000000 exceeds IDEALGAMES_HORIZON_CAP=1000"]
+        assert err == [
+            "error: stem index 3000000 reads x through index 3000998, "
+            "past IDEALGAMES_HORIZON_CAP=1000"
+        ]
 
 
 class TestSetTailCache:
