@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -228,7 +229,9 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not problems else EXIT_ERROR
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once and shared: parsing leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="idealgames",
         description="Ideals on N, interval witnesses, the Laflamme game, "

@@ -250,32 +250,80 @@ class PiecewiseOnSet(SeqDescriptor):
 
 
 _RATIONALS: list[Fraction] = []
+# _RATIONAL_FLOATS[i] is float(_RATIONALS[i]); slots past len(_RATIONALS)
+# are spare capacity.
+_RATIONAL_FLOATS = np.empty(0)
 _RATIONALS_LOCK = threading.Lock()
 
 
-def _rationals_through(n: int) -> list[Fraction]:
-    """First n reduced fractions of (0,1), enumerated by denominator."""
+def _grow_rationals(n: int) -> None:
+    """Enumerate the reduced fractions of (0,1) by denominator through at
+    least n terms, into ``_RATIONALS`` and ``_RATIONAL_FLOATS``.
+
+    The caller holds ``_RATIONALS_LOCK``.  The floats are numpy ``p / q``
+    over int64 numerators and denominators.  Both are below 2**53, so they
+    are exact as float64, and IEEE division rounds the quotient correctly:
+    each float equals ``float(Fraction(p, q))`` bit for bit.  The float
+    array grows by doubling, so growing one term at a time stays linear.
+    """
+    global _RATIONAL_FLOATS
+    start = len(_RATIONALS)
+    if start >= n:
+        return
+    q = _RATIONALS[-1].denominator if _RATIONALS else 1
+    nums: list[int] = []
+    dens: list[int] = []
+    while start + len(nums) < n:
+        q += 1
+        for p in range(1, q):
+            if gcd(p, q) == 1:
+                nums.append(p)
+                dens.append(q)
+    _RATIONALS.extend(map(Fraction, nums, dens))
+    end = len(_RATIONALS)
+    if end > len(_RATIONAL_FLOATS):
+        grown = np.empty(max(end, 2 * len(_RATIONAL_FLOATS)))
+        grown[:start] = _RATIONAL_FLOATS[:start]
+        _RATIONAL_FLOATS = grown
+    _RATIONAL_FLOATS[start:end] = (
+        np.array(nums, dtype=np.int64) / np.array(dens, dtype=np.int64)
+    )
+
+
+def _rational(n: int) -> Fraction:
+    """The n-th reduced fraction of (0,1), 1-indexed."""
+    if n < 1:
+        raise ValueError(f"sequence index must be >= 1, got {n}")
     with _RATIONALS_LOCK:
-        q = _RATIONALS[-1].denominator if _RATIONALS else 1
-        while len(_RATIONALS) < n:
-            q += 1
-            for p in range(1, q):
-                if gcd(p, q) == 1:
-                    _RATIONALS.append(Fraction(p, q))
-        return _RATIONALS[:n]
+        _grow_rationals(n)
+        return _RATIONALS[n - 1]
+
+
+def _rational_floats(n: int) -> np.ndarray:
+    """The first n enumerated fractions as a read-only float64 view."""
+    with _RATIONALS_LOCK:
+        _grow_rationals(n)
+        out = _RATIONAL_FLOATS[:n]
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
 class RationalEnum(SeqDescriptor):
-    """Every rational in (0,1) exactly once: 1/2, 1/3, 2/3, 1/4, 3/4, ..."""
+    """Every rational in (0,1) exactly once: 1/2, 1/3, 2/3, 1/4, 3/4, ...
+
+    ``term`` reads the exact Fraction; ``values`` slices the float64 array
+    kept beside it, equal to converting each Fraction (see
+    ``_grow_rationals``).
+    """
 
     def term(self, n: int) -> Fraction:
-        return _rationals_through(n)[n - 1]
+        return _rational(n)
 
     def values(self, limit: int) -> np.ndarray:
         out = np.empty(limit + 1)
         out[0] = np.nan
-        out[1:] = [float(q) for q in _rationals_through(limit)]
+        out[1:] = _rational_floats(limit)
         return out
 
 
@@ -284,16 +332,14 @@ class SignedRationalEnum(SeqDescriptor):
     """The (0,1) enumeration interleaved with its negation: q1, -q1, q2, ..."""
 
     def term(self, n: int) -> Fraction:
-        k = (n + 1) // 2
-        q = _rationals_through(k)[k - 1]
+        q = _rational((n + 1) // 2)
         return q if n % 2 else -q
 
     def values(self, limit: int) -> np.ndarray:
-        k = (limit + 1) // 2
-        qs = np.array([float(q) for q in _rationals_through(k)])
+        qs = _rational_floats((limit + 1) // 2)
         out = np.empty(limit + 1)
         out[0] = np.nan
-        out[1::2] = qs[: (limit + 1) // 2]
+        out[1::2] = qs
         out[2::2] = -qs[: limit // 2]
         return out
 
