@@ -254,13 +254,12 @@ def reduce(s: sx.SetExpr) -> Periodic | None:
     and callers copy its blocks before they change them.
 
     The memo keeps at most ``REDUCE_MEMO`` expressions and their normal
-    forms alive.  The guards bound a combined normal form by
-    ``MAX_PERIOD`` residues (about 65 MB when all are present) and
-    ``MAX_BLOCKS`` blocks per operand (about 20 MB), and a ``Finite``
-    leaf's form is as large as the leaf, so at the very worst the memo
-    holds about ``REDUCE_MEMO`` x 110 MB.  The hit sets that point-set
-    classification reduces, over on-sets of about 100 points, take about
-    2 kB an entry.
+    forms alive: ``REDUCE_MEMO`` times the largest one reduced.  A normal
+    form holds at most one residue per unit of its period and one block per
+    member below its threshold; the guards cap a combined form at
+    ``MAX_PERIOD`` residues (about 65 MB) and ``MAX_BLOCKS`` blocks per
+    operand (about 20 MB each).  The hit sets that point-set classification
+    reduces, over on-sets of about 100 points, take about 2 kB an entry.
     """
     if isinstance(s, sx.Finite):
         blocks = merge_blocks([(v, v + 1) for v in s.values])

@@ -7,8 +7,8 @@ import pytest
 
 from idealgames import cli
 
-CLUSTER = ["cluster", "--seq", "piecewise(ap(2,2),n,0)", "--ideal", "density0",
-           "-N", "1000"]
+# Its printed points depend on --eps, which the failing call sets first.
+CLUSTER = ["cluster", "--seq", "alt(0,33/100)", "--ideal", "density0", "-N", "1000"]
 CLASSIFY = ["classify", "--ideal", "summable", "--set", "union(ap(1,3),finite{2})"]
 
 
