@@ -25,7 +25,7 @@ N_MAX = 200_001
 
 
 def _enumerated(n: int) -> list[Fraction]:
-    """The first n reduced fractions of (0,1) by denominator, from scratch."""
+    """The first n reduced fractions of (0,1) by denominator, computed independently."""
     out: list[Fraction] = []
     for q in count(2):
         for p in range(1, q):
