@@ -30,9 +30,6 @@ class PointSet:
     flags: tuple[str, ...] = ()
     undecided: tuple[float, ...] = ()
 
-    def __contains__(self, v: float) -> bool:
-        return any(abs(p - v) <= self.resolution / 2 for p in self.points)
-
 
 @dataclass(frozen=True)
 class LadderSpec:

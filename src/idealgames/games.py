@@ -9,8 +9,11 @@ The sigma-game, pi-game and series builders share one round loop,
 
 Move sets are stored as disjoint half-open blocks [lo, hi) because interval
 strategies legitimately play blocks far too wide to materialize.  All index
-arithmetic is exact integers; series steering uses exact rationals, so
-transcripts are stable goldens.
+arithmetic is exact integers, and every decision on a term value (in a
+ball, outside it, inside a steering window) is exact: a float prefilter
+decides whole chunks of indices at once, and any index whose float lies
+near a boundary is decided again in exact rationals (``_next_indices``).
+So transcripts are stable goldens.
 """
 from __future__ import annotations
 
@@ -18,12 +21,16 @@ import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
+
+import numpy as np
 
 from . import ideals as il
 from . import seqspace as sq
 from . import setexpr as sx
 from .errors import (
     ExhaustedIndices,
+    IdealGamesError,
     InvalidMove,
     OracleViolation,
     SteeringStuck,
@@ -415,13 +422,135 @@ class Ball:
         return cls(Fraction(center), Fraction(radius))
 
 
-def _next_index(pred, after: int, cap: int) -> int:
-    i = after + 1
-    while i <= cap:
-        if pred(i):
-            return i
-        i += 1
-    raise ExhaustedIndices(f"no admissible index in ({after}, {cap}]")
+class _Test(NamedTuple):
+    """A predicate on term values, given exactly and as an interval.
+
+    ``exact(v)`` decides it.  For every v other than lo and hi it equals
+    ``lo < v < hi`` when ``inside``, and the negation of that otherwise.
+    """
+
+    exact: Callable[[sq.Number], bool]
+    lo: Fraction
+    hi: Fraction
+    inside: bool = True
+
+
+def _in_ball(ball: Ball) -> _Test:
+    return _Test(ball.contains, ball.center - ball.radius, ball.center + ball.radius)
+
+
+def _off_ball(ball: Ball) -> _Test:
+    return _Test(lambda v: not ball.contains(v), ball.center - ball.radius,
+                 ball.center + ball.radius, inside=False)
+
+
+def _in_window(lo: Fraction, hi: Fraction) -> _Test:
+    return _Test(lambda v: lo < Fraction(v) < hi, lo, hi)
+
+
+def _prefilter(x: sq.SeqDescriptor, test: _Test, top: int,
+               at: slice | np.ndarray):
+    """Float verdicts ``(ok, near)`` on the terms ``x.values(top)[at]``.
+
+    ``ok`` is the float comparison against the interval of ``test``, and
+    ``near`` marks the terms it cannot decide, which ``test.exact`` must.
+    Returns None, and leaves every term to ``test.exact``, where the float
+    path cannot serve: past the horizon cap, or where ``values`` or a bound
+    has no float (a term or a bound too large for float64, a set tail that
+    runs out before ``top``, a descriptor that defines only ``term``).
+
+    Exactness.  ``values[n]`` is the float64 nearest ``term(n)`` for every
+    descriptor: ``float()`` of an integer or Fraction (alternating pairs,
+    explicit prefixes, the const rule), integers below 2**53 (the ident and
+    altsign rules), IEEE ``1.0 / n`` (the inv rule), numpy ``p / q`` over
+    int64 operands below 2**53 (the rational enumerations), and gathers of
+    these (piecewise sequences, ``Transformed``).  So each float differs
+    from its exact value by at most 2**-53 of its magnitude.  With
+    M = max(|lo|, |hi|) and band = 1e-9 * (1 + M), a term v whose float
+    lies more than band from both floated bounds compares with each bound
+    as v itself does: if |v| <= 2 + 2M, the rounding of v, of the bound and
+    of their difference moves the difference by under 2**-50 * (1 + M),
+    far inside the band; if |v| > 2 + 2M, then |v - bound| > |v| / 2
+    while the rounding stays under 2**-51 * |v|.  Every other term,
+    including a NaN, is ``near``.
+    """
+    if top > il.horizon_cap():
+        return None
+    try:
+        lo, hi = float(test.lo), float(test.hi)
+        v = x.values(top)[at]
+    except (ArithmeticError, NotImplementedError, IdealGamesError):
+        return None
+    band = 1e-9 * (1 + max(abs(lo), abs(hi)))
+    near = ~((np.abs(v - lo) > band) & (np.abs(v - hi) > band))
+    return ((v > lo) & (v < hi)) == test.inside, near
+
+
+def _next_indices(x: sq.SeqDescriptor, test: _Test, after: int, k: int,
+                  cap: int, skip=frozenset()) -> list[int]:
+    """The first k indices i in (after, cap], none in ``skip``, whose terms
+    pass ``test.exact``.
+
+    Every decision is that of ``test.exact(x.term(i))`` tried on i =
+    after + 1, after + 2, ... in turn, and so is the ExhaustedIndices
+    error when fewer than k indices pass: each index is decided by
+    ``_prefilter``'s float comparison where that is exact, else by
+    ``test.exact`` on the term, and no index past the k-th passing one is
+    decided.  Index after + 1 is tried exactly first: series steering
+    takes it in most steps, and one exact test costs less than one numpy
+    pass.  The rest is scanned in chunks that double in width, each read
+    from one ``x.values`` call, so the float work is bounded by twice the
+    last index reached.  Chunks stop at the horizon cap; indices past it,
+    and all indices once ``values`` has failed, are tried exactly.
+    """
+    found: list[int] = []
+    done = after  # every index through ``done`` is decided
+    width = 1
+    floats_to = min(cap, il.horizon_cap())
+    while len(found) < k and done < cap:
+        verdicts = None
+        if width > 1 and done < floats_to:
+            top = min(done + width, floats_to)
+            verdicts = _prefilter(x, test, top, slice(done + 1, None))
+            if verdicts is None:
+                floats_to = done
+        if verdicts is None:
+            top = min(done + width, cap)
+            near = None
+            candidates = range(top - done)
+        else:
+            ok, near = verdicts
+            candidates = np.flatnonzero(ok | near).tolist()
+        for j in candidates:
+            i = done + 1 + j
+            if i in skip or (near is None or near[j]) and not test.exact(x.term(i)):
+                continue
+            found.append(i)
+            if len(found) == k:
+                break
+        done = top
+        width = 2 * max(width, k - len(found))
+    if len(found) < k:
+        last = found[-1] if found else after
+        raise ExhaustedIndices(f"no admissible index in ({last}, {cap}]")
+    return found
+
+
+def _passes(x: sq.SeqDescriptor, test: _Test, idx: list[int]) -> list[bool]:
+    """``test.exact(x.term(i))`` for each i in idx, prefiltered in floats."""
+    verdicts = None
+    if idx and min(idx) >= 1:
+        at = np.asarray(idx)
+        # A tampered transcript may name indices that are no int64; those
+        # are decided exactly.
+        if at.dtype.kind == "i":
+            verdicts = _prefilter(x, test, int(at.max()), at)
+    if verdicts is None:
+        return [test.exact(x.term(i)) for i in idx]
+    ok, near = verdicts
+    for j in np.flatnonzero(near).tolist():
+        ok[j] = test.exact(x.term(idx[j]))
+    return ok.tolist()
 
 
 def _steer_block(stem: list[int], block: tuple[int, int], x, ball: Ball,
@@ -431,12 +560,9 @@ def _steer_block(stem: list[int], block: tuple[int, int], x, ball: Ball,
     ball."""
     lo, hi = block
     last = stem[-1] if stem else 0
-    while len(stem) < lo - 1:
-        last += 1
-        stem.append(last)
-    for _ in range(lo, hi):
-        last = _next_index(lambda i: ball.contains(x.term(i)), last, index_cap)
-        stem.append(last)
+    pad = max(lo - 1 - len(stem), 0)
+    stem.extend(range(last + 1, last + 1 + pad))
+    stem.extend(_next_indices(x, _in_ball(ball), last + pad, hi - lo, index_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +614,14 @@ def build_subseq_witness(
 # Generic builders, game mode
 
 
-def _run_rounds(space, rounds, c_at, fill, oracles, close, hit, note):
+def _run_rounds(space, rounds, c_at, fill, oracles, close, hits, note):
     """The round loop shared by the game-mode builders.
 
     Round k: Player I's c_k, ``fill(stem, c_k)`` up to position c_k - 1,
     cylinder A_k, the oracle's refinement B_k of A_k, ``close(B_k)``, and
-    the move F_k = {n in [c_k, |B_k|] : hit(B_k.stem, n)}.  Returns the
-    final stem, the rounds and the union of the moves.
+    the move F_k = ``hits(B_k.stem, c_k)``, the hit positions of
+    [c_k, |B_k|].  Returns the final stem, the rounds and the union of the
+    moves.
     """
     stem: list[int] = []
     played: list[Round] = []
@@ -511,15 +638,26 @@ def _run_rounds(space, rounds, c_at, fill, oracles, close, hit, note):
             raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
         b_cyl = close(b_cyl)
         stem = list(b_cyl.stem)
-        blocks = blocks_from_values(
-            n for n in range(c, len(stem) + 1) if hit(b_cyl.stem, n)
-        )
+        blocks = blocks_from_values(hits(b_cyl.stem, c))
         played.append(
             Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem, note=note(c, b_cyl))
         )
         union = blocks_union(union, blocks)
         prev_c = c
     return tuple(stem), played, union
+
+
+def _ball_hits(x: sq.SeqDescriptor, ball: Ball):
+    """``hits`` for ``_run_rounds``: the positions n in [c, |stem|] whose
+    index stem[n - 1] has its term in the ball."""
+    test = _in_ball(ball)
+
+    def hits(stem, c):
+        ns = range(c, len(stem) + 1)
+        return [n for n, ok in zip(ns, _passes(x, test, [stem[n - 1] for n in ns]))
+                if ok]
+
+    return hits
 
 
 def _window_note(c: int, b_cyl: sq.Cylinder) -> dict:
@@ -545,15 +683,13 @@ def build_subseq_game(
     rounds with ball-avoiding indices, so the recorded F_k stays exactly
     the window's hit set in the final subsequence.
     """
-    in_e = lambda i: not ball.contains(x.term(i))
-
     def fill(stem, c):
-        while len(stem) < c - 1:
-            stem.append(_next_index(in_e, stem[-1] if stem else 0, index_cap))
+        stem.extend(_next_indices(x, _off_ball(ball), stem[-1] if stem else 0,
+                                  c - 1 - len(stem), index_cap))
 
     stem, played, union = _run_rounds(
         sq.Space.SIGMA, rounds, strat_i, fill, oracles, lambda b_cyl: b_cyl,
-        lambda stem, n: ball.contains(x.term(stem[n - 1])), _window_note,
+        _ball_hits(x, ball), _window_note,
     )
     verdict = _union_verdict(ideal, played, union)
     return _transcript("sigma-game", ideal.kind, played, union, verdict,
@@ -573,17 +709,11 @@ def build_perm_game(
     """Permutation variant: smallest unused ball-avoiding values fill the
     gaps, and every refined cylinder is closed into a permutation of an
     initial segment before the move is extracted (the checkpoint rule)."""
-    in_e = lambda i: not ball.contains(x.term(i))
-
     def fill(stem, c):
-        # Within one call `used` only grows, so an index rejected once stays
-        # rejected and each search resumes after the last value found.
-        used = set(stem)
-        e = 0
-        while len(stem) < c - 1:
-            e = _next_index(lambda i: i not in used and in_e(i), e, index_cap)
-            stem.append(e)
-            used.add(e)
+        # The values found are new and increasing, so they are the smallest
+        # ball-avoiding values unused before the call.
+        stem.extend(_next_indices(x, _off_ball(ball), 0, c - 1 - len(stem),
+                                  index_cap, skip=set(stem)))
 
     def close(b_cyl):
         # Close the prefix into a permutation of {1..max}: the checkpoint.
@@ -593,7 +723,7 @@ def build_perm_game(
 
     stem, played, union = _run_rounds(
         sq.Space.PI, rounds, strat_i, fill, oracles, close,
-        lambda stem, n: ball.contains(x.term(stem[n - 1])),
+        _ball_hits(x, ball),
         lambda c, b_cyl: {"m_B": b_cyl.m, "checkpoint": len(b_cyl.stem),
                           "window": [c, b_cyl.m]},
     )
@@ -611,29 +741,40 @@ class ForcingOracle(DenseOpenOracle):
 
     Appends smallest admissible indices whose terms drive |S_n| just past 1
     in the direction of the current sum; recovery stays possible because the
-    steering window (-1 - s, 1 - s) still meets the value range (-1, 1)."""
+    steering window (-1 - s, 1 - s) still meets the value range (-1, 1).
+
+    The oracle keeps the last stem it returned with its exact sum, so a
+    refinement of a stem that extends it sums only the new indices; one
+    oracle may serve every forcing round of a build.
+    """
 
     def __init__(self, x: sq.SeqDescriptor, index_cap: int = DEFAULT_INDEX_CAP):
         self.x = x
         self.index_cap = index_cap
+        self._summed: tuple[tuple[int, ...], Fraction] = ((), Fraction(0))
+
+    def _sum(self, stem: tuple[int, ...]) -> Fraction:
+        done, s = self._summed
+        if stem[: len(done)] != done:
+            done, s = (), Fraction(0)
+        return s + sum((Fraction(self.x.term(i)) for i in stem[len(done):]),
+                       Fraction(0))
 
     def refine(self, cyl):
         stem = list(cyl.stem)
-        s = sum((Fraction(self.x.term(i)) for i in stem), Fraction(0))
+        s = self._sum(cyl.stem)
         sign = 1 if s >= 0 else -1
-        last = stem[-1] if stem else 0
+        # Steps of magnitude in [1/4, 1) toward the sign of s cross 1 with
+        # overshoot < 1, so |s| ends in [1, 2) and steering can still
+        # recover afterwards.
+        step = _Test(lambda v: Fraction(1, 4) <= sign * Fraction(v) < 1,
+                     *sorted((Fraction(sign, 4), Fraction(sign))))
         while abs(s) < 1:
-            # Steps of magnitude in [1/4, 1) toward the sign of s cross 1
-            # with overshoot < 1, so |s| ends in [1, 2) and steering can
-            # still recover afterwards.
-            last = _next_index(
-                lambda i: Fraction(1, 4) <= sign * Fraction(self.x.term(i)) < 1,
-                last,
-                self.index_cap,
-            )
-            stem.append(last)
-            s += Fraction(self.x.term(last))
-        return sq.Cylinder(sq.Space.SIGMA, tuple(stem))
+            stem += _next_indices(self.x, step, stem[-1] if stem else 0, 1,
+                                  self.index_cap)
+            s += Fraction(self.x.term(stem[-1]))
+        self._summed = (tuple(stem), s)
+        return sq.Cylinder(sq.Space.SIGMA, self._summed[0])
 
 
 def steer_series(
@@ -663,18 +804,19 @@ def steer_series(
     sums: list[Fraction] = [Fraction(0)]  # sums[n] = S_n, sums[0] = 0
 
     def fill(stem, c):
-        last = stem[-1] if stem else 0
         while len(stem) < c - 1:
-            s = sums[-1]
-            lo, hi = -1 - s, 1 - s
+            s, last = sums[-1], stem[-1] if stem else 0
+            # Most steps take the next index: test it by the sum it makes.
+            if last < index_cap and -1 < (t := s + Fraction(x.term(last + 1))) < 1:
+                stem.append(last + 1)
+                sums.append(t)
+                continue
             try:
-                last = _next_index(
-                    lambda i: lo < Fraction(x.term(i)) < hi, last, index_cap
-                )
+                stem += _next_indices(x, _in_window(-1 - s, 1 - s), last, 1,
+                                      index_cap)
             except ExhaustedIndices as exc:
                 raise SteeringStuck(str(exc)) from exc
-            stem.append(last)
-            sums.append(s + Fraction(x.term(last)))
+            sums.append(s + Fraction(x.term(stem[-1])))
 
     def close(b_cyl):
         for i in b_cyl.stem[len(sums) - 1:]:
@@ -684,7 +826,7 @@ def steer_series(
     stem, played, union = _run_rounds(
         sq.Space.SIGMA, rounds, lambda played, k: schedule[k - 1], fill,
         [TrivialOracle()] * rounds if oracles is None else oracles, close,
-        lambda stem, n: abs(sums[n]) >= 1,
+        lambda stem, c: [n for n in range(c, len(stem) + 1) if abs(sums[n]) >= 1],
         lambda c, b_cyl: {**_window_note(c, b_cyl), "sum": str(sums[-1])},
     )
     if not played:
@@ -744,12 +886,10 @@ def validate_transcript(t: Transcript, x: sq.SeqDescriptor | None = None,
             w = (r.note or {}).get("window")
             if w:
                 windows.append((w[0], w[1]))
-        rehit = blocks_from_values(
-            n
-            for n in range(1, len(t.stem) + 1)
-            if ball.contains(x.term(t.stem[n - 1]))
-            and any(lo <= n <= hi for lo, hi in windows)
-        )
+        ns = [n for n in range(1, len(t.stem) + 1)
+              if any(lo <= n <= hi for lo, hi in windows)]
+        hit = _passes(x, _in_ball(ball), [t.stem[n - 1] for n in ns])
+        rehit = blocks_from_values(n for n, ok in zip(ns, hit) if ok)
         if rehit != t.union_blocks:
             problems.append("recomputed window hit set differs from unionF")
     return problems

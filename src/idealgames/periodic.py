@@ -189,6 +189,9 @@ def _combine(a: Periodic, b: Periodic, op: str) -> Periodic:
 
 
 def _complement(a: Periodic) -> Periodic:
+    # The complement lists every other residue, so its size is the period.
+    if a.period > MAX_PERIOD:
+        raise TooComplex(f"period {a.period} over cap")
     residues = frozenset(set(range(a.period)) - a.residues)
     blocks = tuple(_complement_blocks(a.blocks, 1, a.threshold))
     return Periodic(a.period, residues, a.threshold, blocks)

@@ -36,6 +36,14 @@ def _each_round(make) -> Callable:
     ]
 
 
+def _forcing(rounds, x, ball, witness, every) -> list:
+    """One forcing oracle for every EVERY-th round, so it sums each stem
+    index once across the build; trivial oracles elsewhere."""
+    force = gm.ForcingOracle(x)
+    return [force if k % every == 0 else gm.TrivialOracle()
+            for k in range(1, rounds + 1)]
+
+
 def _interval_hit(rounds, x, ball, witness) -> list:
     if ball is None:
         raise IdealGamesError("interval-hit needs the ball of a generic game mode")
@@ -57,9 +65,7 @@ SPECS: dict[str, dict[str, _Row]] = {
         "random": _Row(_each_round(lambda k, x, s: gm.RandomExtensionOracle(s, k)),
                        (("SEED", None),)),
         "interval-hit": _Row(_interval_hit),
-        "forcing": _Row(_each_round(lambda k, x, every: gm.ForcingOracle(x)
-                                    if k % every == 0 else gm.TrivialOracle()),
-                        (("EVERY", 3),)),
+        "forcing": _Row(_forcing, (("EVERY", 3),)),
     },
 }
 

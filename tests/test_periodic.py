@@ -1,9 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgames import periodic, setexpr as sx
+from idealgames import ideals as il, periodic, setexpr as sx
 
 _leaf = st.one_of(
     st.lists(st.integers(1, 60), max_size=4).map(lambda v: sx.Finite(tuple(v))),
@@ -98,3 +100,25 @@ def test_tail_certificate():
     assert p.tail_reciprocal_upper(300) == 0.0
     infinite = periodic.reduce(sx.ArithProg(1, 3))
     assert infinite.tail_reciprocal_upper(100) is None
+
+
+def test_complement_of_a_wide_progression_is_too_complex():
+    # The complement would list MAX_PERIOD residues; it is refused before
+    # any is built, and the bounds layer decides the set instead.
+    wide = sx.Compl(sx.ArithProg(1, periodic.MAX_PERIOD + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(periodic.TooComplex):
+            periodic.reduce(wide)
+        evidence = [
+            il.classify_symbolic(ideal, wide).evidence
+            for ideal in (il.fin(), il.density0(), il.summable())
+        ]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert evidence == [
+        "infinite", "upper density >= 0.999999", "reciprocal sum diverges"
+    ]
+    # A set of MAX_PERIOD residues takes tens of megabytes.
+    assert peak < 2**21
