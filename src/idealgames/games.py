@@ -17,10 +17,12 @@ So transcripts are stable goldens.
 """
 from __future__ import annotations
 
+import bisect
 import json
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -46,8 +48,21 @@ def blocks_from_values(values) -> Blocks:
     return merge_blocks([(v, v + 1) for v in values])
 
 
-def blocks_union(a: Blocks, b: Blocks) -> Blocks:
-    return merge_blocks(list(a) + list(b))
+def add_blocks(union: list[tuple[int, int]], blocks: Blocks) -> None:
+    """Merge blocks into the sorted disjoint blocks of union, in place.
+
+    The result is the one ``merge_blocks`` gives for the two together, but
+    each block only moves the neighbours it overlaps or touches, so a round
+    loop adding a few blocks per round does not re-sort its whole union.
+    """
+    for lo, hi in blocks:
+        if hi <= lo:
+            continue
+        i = bisect.bisect_left(union, lo, key=itemgetter(1))  # first hi >= lo
+        j = bisect.bisect_right(union, hi, key=itemgetter(0))  # first lo > hi
+        if i < j:
+            lo, hi = min(lo, union[i][0]), max(hi, union[j - 1][1])
+        union[i:j] = [(lo, hi)]
 
 
 def blocks_size(blocks: Blocks) -> int:
@@ -226,18 +241,46 @@ class TalagrandPlayerII(PlayerII):
     Declares the tail schedule "one full block per round forever", which
     makes the final verdict symbolic: a set containing infinitely many full
     witness blocks cannot lie in the ideal.
+
+    The instance keeps the block indices read from the rounds between
+    calls, so a game of R rounds reads each round once rather than R times
+    and a reused instance answers as a fresh one would.  It is not safe to
+    share one instance between threads.
     """
 
     def __init__(self, witness: il.TalagrandWitness):
         self.witness = witness
+        # Claimed block index j -> an index past j with every index between
+        # them claimed too, so a search jumps whole claimed runs.
+        self._claimed: dict[int, int] = {}
+        # How many rounds have been read into _claimed, and the last of them.
+        self._read: tuple[int, Round | None] = (0, None)
 
     def __call__(self, rounds, k, c):
-        used = set(_block_indices(rounds))
+        self._claim(rounds)
         j = self.witness.gen.first_index_at_least(max(c, 1))
-        while j in used:
-            j += 1
+        jumped = []
+        while j in self._claimed:
+            jumped.append(j)
+            j = self._claimed[j]
+        for i in jumped:
+            self._claimed[i] = j
         lo, hi = self.witness.block(j)
         return Move(((lo, hi),), {"block_index": j})
+
+    def _claim(self, rounds) -> None:
+        """Read the block indices of the rounds not read yet.
+
+        Rounds extend the ones read when they hold, at the same position,
+        the very ``Round`` object read last; any others (a new game) are
+        read again from the start.
+        """
+        n, last = self._read
+        if len(rounds) < n or (n and rounds[n - 1] is not last):
+            n, self._claimed = 0, {}
+        for j in _block_indices(rounds[n:]):
+            self._claimed.setdefault(j, j + 1)
+        self._read = (len(rounds), rounds[-1] if rounds else None)
 
 
 class ExplicitPlayerII(PlayerII):
@@ -261,7 +304,7 @@ def play_laflamme(
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     played: list[Round] = []
-    union: Blocks = ()
+    union: list[tuple[int, int]] = []
     prev_c = 0
     for k in range(1, rounds + 1):
         c = strat_i(tuple(played), k)
@@ -272,7 +315,7 @@ def play_laflamme(
         if any(lo < c for lo, _ in blocks):
             raise InvalidMove(f"round {k}: move leaves [{c}, oo)")
         played.append(Round(k, c, blocks, note=move.note))
-        union = blocks_union(union, blocks)
+        add_blocks(union, blocks)
         prev_c = c
     verdict = _game_verdict(ideal, played, union, strat_ii)
     return _transcript("game", ideal.kind, played, union, verdict, config)
@@ -287,7 +330,7 @@ def _transcript(mode, ideal_kind, played, union, verdict, config,
         mode=mode,
         ideal=ideal_kind,
         rounds=tuple(played),
-        union_blocks=union,
+        union_blocks=tuple(union),
         verdict=verdict,
         stem=stem,
         space=space,
@@ -296,7 +339,8 @@ def _transcript(mode, ideal_kind, played, union, verdict, config,
 
 
 def _game_verdict(
-    ideal: il.Ideal, played: list[Round], union: Blocks, strat_ii: PlayerII
+    ideal: il.Ideal, played: list[Round], union: list[tuple[int, int]],
+    strat_ii: PlayerII,
 ) -> il.Verdict:
     if played and isinstance(strat_ii, TalagrandPlayerII):
         return _blocks_verdict(ideal, strat_ii.witness, _block_indices(played))
@@ -311,7 +355,9 @@ def _blocks_verdict(ideal: il.Ideal, witness: il.TalagrandWitness, js) -> il.Ver
     return il.classify_symbolic(ideal, sx.IntervalSchedule(witness.gen, selector))
 
 
-def _union_verdict(ideal: il.Ideal, played, union: Blocks) -> il.Verdict:
+def _union_verdict(
+    ideal: il.Ideal, played, union: list[tuple[int, int]]
+) -> il.Verdict:
     return il.classify(ideal, blocks_to_setexpr(union)) if played else _NO_ROUNDS
 
 
@@ -590,7 +636,7 @@ def build_subseq_witness(
     pairs = [(eta, m) for m in range(1, m_max + 1) for eta in etas]
     stem: list[int] = []
     played: list[Round] = []
-    union: Blocks = ()
+    union: list[tuple[int, int]] = []
     for k in range(1, rounds + 1):
         eta, m = pairs[(k - 1) % len(pairs)]
         block = (witness.block(k),)
@@ -603,7 +649,7 @@ def build_subseq_witness(
                 note={"eta": str(Fraction(eta)), "m": m, "block_index": k},
             )
         )
-        union = blocks_union(union, block)
+        add_blocks(union, block)
     js = range(1, rounds + 1)  # block k was steered in round k
     verdict = _blocks_verdict(ideal, witness, js) if played else _NO_ROUNDS
     return _transcript("sigma-witness", ideal.kind, played, union, verdict,
@@ -625,7 +671,7 @@ def _run_rounds(space, rounds, c_at, fill, oracles, close, hits, note):
     """
     stem: list[int] = []
     played: list[Round] = []
-    union: Blocks = ()
+    union: list[tuple[int, int]] = []
     prev_c = 0
     for k in range(1, rounds + 1):
         c = c_at(tuple(played), k)
@@ -642,7 +688,7 @@ def _run_rounds(space, rounds, c_at, fill, oracles, close, hits, note):
         played.append(
             Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem, note=note(c, b_cyl))
         )
-        union = blocks_union(union, blocks)
+        add_blocks(union, blocks)
         prev_c = c
     return tuple(stem), played, union
 
@@ -848,7 +894,7 @@ def validate_transcript(t: Transcript, x: sq.SeqDescriptor | None = None,
                         ball: Ball | None = None) -> list[str]:
     """Structural invariant check; returns a list of violations (empty = ok)."""
     problems: list[str] = []
-    union: Blocks = ()
+    union: list[tuple[int, int]] = []
     prev_c = 0
     prev_b: tuple[int, ...] | None = None
     for r in t.rounds:
@@ -858,14 +904,14 @@ def validate_transcript(t: Transcript, x: sq.SeqDescriptor | None = None,
             if any(lo < r.c for lo, _ in r.F):
                 problems.append(f"round {r.k}: F leaves [c, oo)")
             prev_c = r.c
-        union = blocks_union(union, r.F)
+        add_blocks(union, r.F)
         if r.A is not None and r.B is not None:
             if prev_b is not None and r.A[: len(prev_b)] != prev_b:
                 problems.append(f"round {r.k}: A does not extend previous B")
             if r.B[: len(r.A)] != r.A:
                 problems.append(f"round {r.k}: B does not extend A")
             prev_b = r.B
-    if union != t.union_blocks:
+    if tuple(union) != t.union_blocks:
         problems.append("unionF differs from the union of round moves")
     if t.stem is not None and prev_b is not None:
         if t.stem[: len(prev_b)] != prev_b:

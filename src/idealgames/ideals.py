@@ -382,18 +382,25 @@ def _arange(start: int, stop: int, dtype=None) -> np.ndarray:
 def classify_horizon_counts(
     ideal: Ideal, ind: np.ndarray, horizon: int, tail_upper: float | None = None
 ) -> Verdict:
-    """Horizon verdict from a membership indicator (slot 0 unused)."""
+    """Horizon verdict from a membership indicator (slot 0 unused).
+
+    density0's dhat is the largest count(n)/n over n in [N//2, N] (n >= 1),
+    so only that stretch is summed; the members below it enter as one count.
+    The counts are exact integers either way, so dhat and its evidence are
+    the same as from a cumulative count over the whole indicator.
+    """
     if ideal.kind == FIN:
         c = int(np.count_nonzero(ind))
         if c >= ideal.fin_cutoff:
             return _horizon(VerdictValue.NOT_IN, horizon, f"count={c}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"count={c}")
     if ideal.kind == DENSITY0:
-        cum = np.cumsum(ind)
         lo = max(horizon // 2, 1)
-        dhat = float(
-            (cum[lo : horizon + 1] / _arange(lo, horizon + 1)).max()
+        counts = np.cumsum(
+            ind[lo : horizon + 1], dtype=np.int32 if horizon < 2**31 else np.int64
         )
+        counts += np.count_nonzero(ind[:lo])
+        dhat = float((counts / _arange(lo, horizon + 1)).max())
         if dhat < ideal.theta_low:
             return _horizon(VerdictValue.IN, horizon, f"dhat={dhat:.6g}")
         if dhat > ideal.theta_high:

@@ -226,12 +226,7 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     # Block for index j is [a*j + b, a*j + a + b): an affine image, so the
     # union over a periodic index set is again eventually periodic.
     period = a * sel.period
-    residues = set()
-    for r in range(sel.period):
-        if r in sel.residues:
-            base = a * r + b
-            for off in range(a):
-                residues.add((base + off) % period)
+    residues = {(a * r + b + off) % period for r in sel.residues for off in range(a)}
     threshold = max(1, a * sel.threshold + b)
     blocks = merge_blocks(
         [

@@ -302,7 +302,16 @@ def member(s: SetExpr, n: int) -> bool:
 
 
 def indicator(s: SetExpr, limit: int) -> np.ndarray:
-    """Boolean membership array of length limit + 1; slot 0 is always False."""
+    """Boolean membership array of length limit + 1; slot 0 is always False.
+
+    An interval schedule over an affine generator value(j) = a*j + b has
+    blocks [a*j + b, a*j + a + b) of length a each, so its array is the
+    selector's indicator over the (limit - b) // a blocks starting at or
+    below the limit, each slot repeated a times from a + b on and cut at
+    the limit.  Other generators are walked block by block from
+    ``values_through``; the built-in ones grow geometrically, so they have
+    only logarithmically many blocks below the limit.
+    """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if isinstance(s, Finite):
@@ -322,8 +331,16 @@ def indicator(s: SetExpr, limit: int) -> np.ndarray:
             out[s.start :] = True
         return out
     if isinstance(s, IntervalSchedule):
-        vals = s.gen.values_through(limit)
         out = np.zeros(limit + 1, dtype=bool)
+        if s.gen.affine is not None:
+            a, b = s.gen.affine
+            blocks = (limit - b) // a  # blocks starting at or below limit
+            if blocks < 1:
+                return out
+            selected = indicator(s.selector, blocks)
+            out[a + b :] = np.repeat(selected[1:], a)[: limit + 1 - a - b]
+            return out
+        vals = s.gen.values_through(limit)
         if len(vals) < 2:
             return out
         # Blocks [vals[j-1], vals[j]) for j = 1..len(vals)-1 tile

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from idealgames import (
     convergence as cv,
@@ -11,6 +12,7 @@ from idealgames import (
     setexpr as sx,
 )
 from idealgames.errors import ExhaustedIndices, InvalidMove, OracleViolation
+from idealgames.periodic import merge_blocks
 
 ALT = sq.AlternatingPair(0, 1)
 HALF_BALL = gm.Ball.of(0, Fraction(1, 2))
@@ -29,6 +31,59 @@ class TestTalagrandStrategy:
         strat = gm.talagrand_strategy(il.talagrand_witness(il.density0()))
         t = gm.play_laflamme(il.density0(), gm.LinearPlayerI(100), strat, 2)
         assert t.rounds[1].F == ((256, 512),)
+
+    def test_reused_instance_plays_like_fresh(self):
+        for ideal in il.BUILTINS:
+            w = il.talagrand_witness(ideal)
+            reused = gm.talagrand_strategy(w)
+            games = [(gm.LinearPlayerI(100), 20), (gm.RandomJumpPlayerI(3), 30),
+                     (gm.LinearPlayerI(100), 20)]
+            for strat_i, rounds in games:
+                again = gm.play_laflamme(ideal, strat_i, reused, rounds)
+                fresh = gm.play_laflamme(
+                    ideal, strat_i, gm.talagrand_strategy(w), rounds
+                )
+                assert again.to_jsonl() == fresh.to_jsonl()
+
+    def test_interleaved_games_on_one_instance(self):
+        # Each call comes from the other game, so every call starts over.
+        w = il.talagrand_witness(il.density0())
+        shared = gm.talagrand_strategy(w)
+        played = {"a": [], "b": []}
+        for k in range(1, 9):
+            for name, c in (("a", 100 * k), ("b", 7 * k)):
+                rounds = tuple(played[name])
+                move = shared(rounds, k, c)
+                assert move == gm.talagrand_strategy(w)(rounds, k, c)
+                played[name].append(gm.Round(k, c, move.blocks, note=move.note))
+
+    def test_smallest_unclaimed_index_out_of_order(self):
+        w = il.talagrand_witness(il.fin())
+        strat = gm.talagrand_strategy(w)
+        rounds = tuple(
+            gm.Round(k, 1, (w.block(j),), note={"block_index": j})
+            for k, j in enumerate((5, 3, 4, 9), start=1)
+        )
+        for c in (3, 4, 3):  # unplayed answers stay unclaimed
+            assert strat(rounds, 5, c).note == {"block_index": 6}
+        assert strat(rounds, 5, 1).note == {"block_index": 1}
+        assert strat(rounds, 5, 9).note == {"block_index": 10}
+
+
+_BLOCK = st.tuples(st.integers(1, 60), st.integers(0, 12)).map(
+    lambda b: (b[0], b[0] + b[1])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_BLOCK, max_size=4), max_size=12))
+def test_add_blocks_matches_merge_blocks(moves):
+    union = []
+    added = []
+    for blocks in moves:
+        gm.add_blocks(union, tuple(blocks))
+        added += blocks
+        assert tuple(union) == merge_blocks(added)
 
 
 class TestPlayLaflamme:
