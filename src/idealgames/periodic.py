@@ -108,12 +108,15 @@ class Periodic:
         return Fraction(len(self.residues), self.period)
 
     def odd_part_finite(self) -> bool:
-        """True iff the set meets the odd integers only finitely often."""
-        p2 = self.period if self.period % 2 == 0 else 2 * self.period
-        for r in range(p2):
-            if r % 2 == 1 and (r % self.period) in self.residues:
-                return False
-        return True
+        """True iff the set meets the odd integers only finitely often.
+
+        Over an odd period every residue class holds both parities; over an
+        even one a class keeps the parity of its residue.  So the residues
+        decide it, whatever the size of the period.
+        """
+        if self.period % 2:
+            return not self.residues
+        return not any(r % 2 for r in self.residues)
 
     def reciprocal_sum_diverges(self) -> bool:
         """True iff sum(1/a) over the set diverges (iff the set is infinite)."""

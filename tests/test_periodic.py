@@ -69,6 +69,20 @@ def test_odd_part_matches_counting(s):
     assert p.odd_part_finite() == (hits == 0)
 
 
+def test_odd_part_decided_by_residues_at_any_period():
+    big = 10**12
+    # Over an even period a residue class keeps its parity.
+    assert periodic.reduce(sx.ArithProg(2, big)).odd_part_finite()
+    assert not periodic.reduce(sx.ArithProg(3, big)).odd_part_finite()
+    assert periodic.Periodic(big, frozenset({0, 2, big - 2}), 1, ()).odd_part_finite()
+    # Over an odd period every class meets the odd integers.
+    assert not periodic.reduce(sx.ArithProg(2, big + 1)).odd_part_finite()
+    assert periodic.Periodic(big + 1, frozenset(), 1, ((1, 4),)).odd_part_finite()
+    # isch(odd2, ap(1, big)): blocks {2j-1, 2j} at j = 1 mod big.
+    wide = periodic.reduce(sx.IntervalSchedule(sx.generator("odd2"), sx.ArithProg(1, big)))
+    assert wide.period == 2 * big and not wide.odd_part_finite()
+
+
 def test_affine_schedule_reduces_exactly():
     # blocks of odd2 are {2n-1, 2n}; an even-indexed selection is periodic
     s = sx.schedule_even(sx.generator("odd2"))
