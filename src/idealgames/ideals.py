@@ -6,6 +6,13 @@ finitely often.  Classification is three-valued: a finite horizon cannot
 decide tail properties, so Undecided is a first-class outcome rather than a
 silent misclassification.
 
+``classify_symbolic`` applies its rules in order.  A set that contains
+infinitely many full blocks of the ideal's interval witness is NotInIdeal.
+Otherwise the ideal kind's row of one rule table reads the set's fact record,
+built from its periodic normal form when it has one and from sound density,
+parity and harmonic bounds when it does not.  A set the row cannot decide
+raises OutsideFragment, and ``classify`` falls back to a finite horizon.
+
 All classifiers are pure functions of (ideal, expression, horizon) and are
 safe to call in parallel.
 """
@@ -160,13 +167,19 @@ def talagrand_witness(ideal: Ideal) -> TalagrandWitness:
     return TalagrandWitness(ideal, sx.generator(_WITNESS_GEN[ideal.kind]))
 
 
+def _normal_form(s: sx.SetExpr) -> periodic.Periodic | None:
+    """``periodic.reduce(s)``, or None when s is not eventually periodic or
+    its normal form would exceed the size guards."""
+    try:
+        return periodic.reduce(s)
+    except periodic.TooComplex:
+        return None
+
+
 def _contains_infinite_witness_schedule(s: sx.SetExpr, gen: sx.Generator) -> bool:
     """True when s provably contains infinitely many full blocks of gen."""
     if isinstance(s, sx.IntervalSchedule) and s.gen is gen:
-        try:
-            sel = periodic.reduce(s.selector)
-        except periodic.TooComplex:
-            return False
+        sel = _normal_form(s.selector)
         return sel is not None and not sel.is_finite
     if isinstance(s, sx.Union):
         return _contains_infinite_witness_schedule(
@@ -181,49 +194,52 @@ def _contains_infinite_witness_schedule(s: sx.SetExpr, gen: sx.Generator) -> boo
 
 @dataclass(frozen=True)
 class _Bounds:
-    """Sound density/parity/harmonic facts for the non-periodic layer."""
+    """The fact record of a set: sound density bounds and three-valued
+    facts (True, False, or None for unknown).
+
+    ``finite``, ``converges`` (of the reciprocal sum) and ``odd_finite``
+    each say that the set lies in an ideal, so a union has a fact when both
+    sides have it, and an intersection when either side has it.  When the
+    set has a periodic normal form, ``exact`` carries it and every fact is
+    exact.
+    """
 
     finite: bool | None
     lodens_lo: float
     lodens_hi: float
     updens_lo: float
     updens_hi: float
-    harmonic: bool | None  # True = reciprocal sum diverges
+    converges: bool | None
     odd_finite: bool | None
+    exact: periodic.Periodic | None = None
 
     def settled(self) -> "_Bounds":
         if self.updens_lo > 0:
-            return replace(self, finite=False, harmonic=True)
+            return replace(self, finite=False, converges=False)
         return self
 
 
 _UNKNOWN = _Bounds(None, 0.0, 1.0, 0.0, 1.0, None, None)
 
 
+def _both(x: bool | None, y: bool | None) -> bool | None:
+    """False when either fact fails, True when both hold, else unknown."""
+    return False if x is False or y is False else True if x and y else None
+
+
+def _either(x: bool | None, y: bool | None) -> bool | None:
+    """True when either fact holds, else unknown."""
+    return True if x or y else None
+
+
 def _bounds_of(s: sx.SetExpr) -> _Bounds:
-    try:
-        p = periodic.reduce(s)
-    except periodic.TooComplex:
-        p = None
+    p = _normal_form(s)
     if p is not None:
         d = float(p.density())
-        return _Bounds(
-            finite=p.is_finite,
-            lodens_lo=d,
-            lodens_hi=d,
-            updens_lo=d,
-            updens_hi=d,
-            harmonic=p.reciprocal_sum_diverges(),
-            odd_finite=p.odd_part_finite(),
-        )
+        return _Bounds(p.is_finite, d, d, d, d, p.is_finite, p.odd_part_finite(), p)
     if isinstance(s, sx.IntervalSchedule):
         gen = s.gen
-        if gen.min_ratio is None:
-            return _UNKNOWN
-        try:
-            sel = periodic.reduce(s.selector)
-        except periodic.TooComplex:
-            return _UNKNOWN
+        sel = None if gen.min_ratio is None else _normal_form(s.selector)
         if sel is None or sel.is_finite:
             return _UNKNOWN
         # Infinitely many blocks of geometrically growing length: right
@@ -231,132 +247,109 @@ def _bounds_of(s: sx.SetExpr) -> _Bounds:
         # a fixed positive mass per block, and block lengths grow beyond
         # every bound so both parities recur forever.
         updens_lo = 1.0 - 1.0 / gen.min_ratio
-        harmonic = True if (gen.interval_harmonic_lower or 0) > 0 else None
-        return _Bounds(False, 0.0, 1.0, updens_lo, 1.0, harmonic, False)
+        converges = False if (gen.interval_harmonic_lower or 0) > 0 else None
+        return _Bounds(False, 0.0, 1.0, updens_lo, 1.0, converges, False)
     if isinstance(s, sx.Union):
         a, b = _bounds_of(s.left), _bounds_of(s.right)
-        finite = (
-            True
-            if a.finite is True and b.finite is True
-            else False
-            if a.finite is False or b.finite is False
-            else None
-        )
-        harmonic = (
-            True
-            if a.harmonic is True or b.harmonic is True
-            else False
-            if a.harmonic is False and b.harmonic is False
-            else None
-        )
-        odd = (
-            True
-            if a.odd_finite is True and b.odd_finite is True
-            else False
-            if a.odd_finite is False or b.odd_finite is False
-            else None
-        )
         return _Bounds(
-            finite,
+            _both(a.finite, b.finite),
             max(a.lodens_lo, b.lodens_lo),
             min(1.0, a.lodens_hi + b.updens_hi, b.lodens_hi + a.updens_hi),
             max(a.updens_lo, b.updens_lo),
             min(1.0, a.updens_hi + b.updens_hi),
-            harmonic,
-            odd,
+            _both(a.converges, b.converges),
+            _both(a.odd_finite, b.odd_finite),
         ).settled()
     if isinstance(s, sx.Inter):
         a, b = _bounds_of(s.left), _bounds_of(s.right)
-        finite = True if a.finite is True or b.finite is True else None
-        harmonic = False if a.harmonic is False or b.harmonic is False else None
-        odd = True if a.odd_finite is True or b.odd_finite is True else None
         return _Bounds(
-            finite,
+            _either(a.finite, b.finite),
             max(0.0, a.lodens_lo + b.lodens_lo - 1.0),
             min(a.lodens_hi, b.lodens_hi),
             max(0.0, a.updens_lo + b.lodens_lo - 1.0, b.updens_lo + a.lodens_lo - 1.0),
             min(a.updens_hi, b.updens_hi),
-            harmonic,
-            odd,
+            _either(a.converges, b.converges),
+            _either(a.odd_finite, b.odd_finite),
         ).settled()
     if isinstance(s, sx.Compl):
         a = _bounds_of(s.inner)
-        finite = False if a.finite is True else None
-        odd = False if a.odd_finite is True else None
         return _Bounds(
-            finite,
+            False if a.finite is True else None,
             1.0 - a.updens_hi,
             1.0 - a.updens_lo,
             1.0 - a.lodens_hi,
             1.0 - a.lodens_lo,
             None,
-            odd,
+            False if a.odd_finite is True else None,
         ).settled()
     return _UNKNOWN
+
+
+def _null_density(b: _Bounds) -> bool | None:
+    """True when the upper density is 0, False when it is positive.  An
+    exact form has density 0 just when it is finite; its float density is
+    not read, because it underflows to 0.0 past a period of 10^308."""
+    if b.exact or b.finite:
+        return b.finite
+    return True if b.updens_hi == 0.0 else False if b.updens_lo > 0.0 else None
+
+
+# Ideal kind -> (fact, InIdeal evidence, NotInIdeal evidence).  The fact reads
+# a record: True in the ideal, False outside it, None when it cannot tell.
+# The evidence is formatted from the record's exact form p when it has one.
+_RULES = {
+    FIN: (
+        lambda b: b.finite,
+        lambda b, p: f"finite, size={p.block_count()}" if p else "finite",
+        lambda b, p: f"density={p.density()}" if p else "infinite",
+    ),
+    DENSITY0: (
+        _null_density,
+        lambda b, p: "density=0" if p else "upper density 0",
+        lambda b, p: (
+            f"density={p.density()}" if p else f"upper density >= {b.updens_lo:.6g}"
+        ),
+    ),
+    SUMMABLE: (
+        lambda b: b.converges,
+        lambda b, p: ("finite, " if p else "") + "reciprocal sum converges",
+        lambda b, p: (
+            f"contains a progression, reciprocal sum diverges (density={p.density()})"
+            if p
+            else "reciprocal sum diverges"
+        ),
+    ),
+    FUBINI_ODD: (
+        lambda b: b.odd_finite,
+        lambda b, p: "odd part finite",
+        lambda b, p: "odd part infinite",
+    ),
+}
 
 
 def classify_symbolic(ideal: Ideal, s: sx.SetExpr) -> Verdict:
     """Exact membership verdict over the decidable fragment.
 
-    Raises OutsideFragment when no sound symbolic argument applies; the
-    caller should fall back to classify_horizon.
+    The rules apply in order.  A set that contains infinitely many full
+    blocks of the ideal's interval witness is NotInIdeal.  Otherwise the
+    ideal kind's row in ``_RULES`` reads the set's fact record: its periodic
+    normal form when it has one, else its bounds.  When the row cannot tell,
+    OutsideFragment is raised and the caller should fall back to
+    classify_horizon.
     """
-    witness = talagrand_witness(ideal)
-    if _contains_infinite_witness_schedule(s, witness.gen):
+    if _contains_infinite_witness_schedule(s, talagrand_witness(ideal).gen):
         return _symbolic(
             VerdictValue.NOT_IN, "contains infinitely many full witness blocks"
         )
-    try:
-        p = periodic.reduce(s)
-    except periodic.TooComplex:
-        p = None
-    if p is not None:
-        if ideal.kind == FIN:
-            if p.is_finite:
-                return _symbolic(VerdictValue.IN, f"finite, size={p.block_count()}")
-            return _symbolic(VerdictValue.NOT_IN, f"density={p.density()}")
-        if ideal.kind == DENSITY0:
-            d = p.density()
-            if d == 0:
-                return _symbolic(VerdictValue.IN, "density=0")
-            return _symbolic(VerdictValue.NOT_IN, f"density={d}")
-        if ideal.kind == SUMMABLE:
-            if p.is_finite:
-                return _symbolic(VerdictValue.IN, "finite, reciprocal sum converges")
-            return _symbolic(
-                VerdictValue.NOT_IN,
-                f"contains a progression, reciprocal sum diverges (density={p.density()})",
-            )
-        if ideal.kind == FUBINI_ODD:
-            if p.odd_part_finite():
-                return _symbolic(VerdictValue.IN, "odd part finite")
-            return _symbolic(VerdictValue.NOT_IN, "odd part infinite")
+    fact, in_ideal, not_in = _RULES[ideal.kind]
     b = _bounds_of(s)
-    if ideal.kind == FIN:
-        if b.finite is True:
-            return _symbolic(VerdictValue.IN, "finite")
-        if b.finite is False:
-            return _symbolic(VerdictValue.NOT_IN, "infinite")
-    elif ideal.kind == DENSITY0:
-        if b.finite is True or b.updens_hi == 0.0:
-            return _symbolic(VerdictValue.IN, "upper density 0")
-        if b.updens_lo > 0.0:
-            return _symbolic(
-                VerdictValue.NOT_IN, f"upper density >= {b.updens_lo:.6g}"
-            )
-    elif ideal.kind == SUMMABLE:
-        if b.harmonic is True:
-            return _symbolic(VerdictValue.NOT_IN, "reciprocal sum diverges")
-        if b.harmonic is False or b.finite is True:
-            return _symbolic(VerdictValue.IN, "reciprocal sum converges")
-    elif ideal.kind == FUBINI_ODD:
-        if b.odd_finite is True:
-            return _symbolic(VerdictValue.IN, "odd part finite")
-        if b.odd_finite is False:
-            return _symbolic(VerdictValue.NOT_IN, "odd part infinite")
-    raise OutsideFragment(
-        f"{s.to_dsl()} is not symbolically decidable for ideal {ideal.kind}"
-    )
+    holds = fact(b)
+    if holds is None:
+        raise OutsideFragment(
+            f"{s.to_dsl()} is not symbolically decidable for ideal {ideal.kind}"
+        )
+    evidence = (in_ideal if holds else not_in)(b, b.exact)
+    return _symbolic(VerdictValue.IN if holds else VerdictValue.NOT_IN, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -364,10 +357,7 @@ def classify_symbolic(ideal: Ideal, s: sx.SetExpr) -> Verdict:
 
 
 def _tail_reciprocal_upper(s: sx.SetExpr, horizon: int) -> float | None:
-    try:
-        p = periodic.reduce(s)
-    except periodic.TooComplex:
-        return None
+    p = _normal_form(s)
     return None if p is None else p.tail_reciprocal_upper(horizon)
 
 

@@ -118,10 +118,6 @@ class Periodic:
             return not self.residues
         return not any(r % 2 for r in self.residues)
 
-    def reciprocal_sum_diverges(self) -> bool:
-        """True iff sum(1/a) over the set diverges (iff the set is infinite)."""
-        return bool(self.residues)
-
     def block_count(self) -> int:
         return sum(hi - lo for lo, hi in self.blocks)
 

@@ -77,7 +77,8 @@ def test_symbolic_evidence_bytes_pinned():
         "InIdeal\tSymbolic\tupper density #",
         "NotInIdeal\tSymbolic\tupper density >= #",
         "InIdeal\tSymbolic\tfinite, reciprocal sum converges",
-        "NotInIdeal\tSymbolic\tcontains a progression, reciprocal sum diverges (density=#)",
+        "NotInIdeal\tSymbolic\tcontains a progression, reciprocal sum diverges"
+        " (density=#)",
         "InIdeal\tSymbolic\treciprocal sum converges",
         "NotInIdeal\tSymbolic\treciprocal sum diverges",
         "InIdeal\tSymbolic\todd part finite",

@@ -79,7 +79,8 @@ def test_odd_part_decided_by_residues_at_any_period():
     assert not periodic.reduce(sx.ArithProg(2, big + 1)).odd_part_finite()
     assert periodic.Periodic(big + 1, frozenset(), 1, ((1, 4),)).odd_part_finite()
     # isch(odd2, ap(1, big)): blocks {2j-1, 2j} at j = 1 mod big.
-    wide = periodic.reduce(sx.IntervalSchedule(sx.generator("odd2"), sx.ArithProg(1, big)))
+    odd2 = sx.generator("odd2")
+    wide = periodic.reduce(sx.IntervalSchedule(odd2, sx.ArithProg(1, big)))
     assert wide.period == 2 * big and not wide.odd_part_finite()
 
 
