@@ -198,9 +198,9 @@ class _Bounds:
     facts (True, False, or None for unknown).
 
     ``finite``, ``converges`` (of the reciprocal sum) and ``odd_finite``
-    each say that the set lies in an ideal, so a union has a fact when both
-    sides have it, and an intersection when either side has it.  When the
-    set has a periodic normal form, ``exact`` carries it and every fact is
+    each say that the set lies in an ideal, so a union has the fact when
+    both sides do, and an intersection when either side does.  When the set
+    has a periodic normal form, ``exact`` carries it and every fact is
     exact.
     """
 
