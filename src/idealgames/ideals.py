@@ -233,6 +233,7 @@ def _either(x: bool | None, y: bool | None) -> bool | None:
 
 
 def _bounds_of(s: sx.SetExpr) -> _Bounds:
+    """The fact record of s, exact when s has a periodic normal form."""
     p = _normal_form(s)
     if p is not None:
         d = float(p.density())
@@ -288,7 +289,7 @@ def _bounds_of(s: sx.SetExpr) -> _Bounds:
 def _null_density(b: _Bounds) -> bool | None:
     """True when the upper density is 0, False when it is positive.  An
     exact form has density 0 just when it is finite; its float density is
-    not read, because it underflows to 0.0 past a period of 10^308."""
+    not read, because it underflows to 0.0 past a period of about 10^323."""
     if b.exact or b.finite:
         return b.finite
     return True if b.updens_hi == 0.0 else False if b.updens_lo > 0.0 else None
