@@ -4,8 +4,9 @@ Player I plays cofinite sets [c_k, oo); Player II answers with finite sets
 F_k inside them; Player II wins when the union of the F_k avoids the ideal.
 The builders interleave the game with cylinder refinement to produce
 explicit subsequences, permutations, and steered series rearrangements.
-The sigma-game, pi-game and series builders share one round loop,
-``_run_rounds``, and differ only in how they fill, close and score a stem.
+Every game and builder runs one round loop, ``_play``, which checks both
+round invariants and gives the verdict; the modes differ only in the move
+each round makes, and the cylinder builders share theirs, ``_cylinder_move``.
 
 Move sets are stored as disjoint half-open blocks [lo, hi) because interval
 strategies legitimately play blocks far too wide to materialize.  All index
@@ -300,65 +301,71 @@ def play_laflamme(
     rounds: int,
     config: dict | None = None,
 ) -> Transcript:
-    """Play R rounds; the verdict classifies the union of Player II's moves."""
+    """Play R rounds.  Against a Talagrand Player II the verdict is the
+    symbolic one on the claimed witness blocks; otherwise it classifies the
+    union of Player II's moves."""
+    def move(so_far, k, c):
+        m = strat_ii(so_far, k, c)
+        return Round(k, c, merge_blocks(m.blocks), note=m.note)
+
+    witness = strat_ii.witness if isinstance(strat_ii, TalagrandPlayerII) else None
+    return _play("game", ideal, rounds, strat_i, move, config, witness=witness)
+
+
+def _play(mode, ideal, rounds, player_i, move, config, stem=None, space=None,
+          witness=None, judge=None) -> Transcript:
+    """The round loop of every game and builder.
+
+    Round k: Player I's c_k, which may not fall below c_{k-1} (None in the
+    witness mode, which has no Player I); the mode's ``move(so_far, k,
+    c_k)``, a ``Round`` whose F_k must lie in [c_k, oo); and F_k joins the
+    union.  ``stem`` is the list the moves extend, if any.
+    """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
     played: list[Round] = []
     union: list[tuple[int, int]] = []
     prev_c = 0
     for k in range(1, rounds + 1):
-        c = strat_i(tuple(played), k)
-        if c < prev_c:
+        so_far = tuple(played)
+        c = player_i(so_far, k)
+        if c is not None and c < prev_c:
             raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
-        move = strat_ii(tuple(played), k, c)
-        blocks = merge_blocks(move.blocks)
-        if any(lo < c for lo, _ in blocks):
+        r = move(so_far, k, c)
+        if c is not None and any(lo < c for lo, _ in r.F):
             raise InvalidMove(f"round {k}: move leaves [{c}, oo)")
-        played.append(Round(k, c, blocks, note=move.note))
-        add_blocks(union, blocks)
-        prev_c = c
-    verdict = _game_verdict(ideal, played, union, strat_ii)
-    return _transcript("game", ideal.kind, played, union, verdict, config)
-
-
-_NO_ROUNDS = il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-
-
-def _transcript(mode, ideal_kind, played, union, verdict, config,
-                stem=None, space=None) -> Transcript:
+        played.append(r)
+        add_blocks(union, r.F)
+        prev_c = prev_c if c is None else c
     return Transcript(
         mode=mode,
-        ideal=ideal_kind,
+        ideal=None if ideal is None else ideal.kind,
         rounds=tuple(played),
         union_blocks=tuple(union),
-        verdict=verdict,
-        stem=stem,
+        verdict=_verdict(ideal, played, union, witness, judge),
+        stem=None if stem is None else tuple(stem),
         space=space,
         config=config or {},
     )
 
 
-def _game_verdict(
-    ideal: il.Ideal, played: list[Round], union: list[tuple[int, int]],
-    strat_ii: PlayerII,
-) -> il.Verdict:
-    if played and isinstance(strat_ii, TalagrandPlayerII):
-        return _blocks_verdict(ideal, strat_ii.witness, _block_indices(played))
-    return _union_verdict(ideal, played, union)
+def _verdict(ideal, played, union, witness, judge) -> il.Verdict:
+    """The verdict of every game and builder.
 
-
-def _blocks_verdict(ideal: il.Ideal, witness: il.TalagrandWitness, js) -> il.Verdict:
-    """Symbolic verdict on the witness blocks js plus every later block."""
-    selector: sx.SetExpr = sx.Tail(js[-1] + 1) if js else sx.Tail(1)
+    With no rounds it is "no rounds played".  When the rounds claimed
+    blocks of ``witness`` (``block_index`` notes), it is the symbolic one
+    on those blocks plus every later block.  Otherwise it is ``judge`` of
+    the union, by default the ideal's verdict on it.
+    """
+    if not played:
+        return il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
+    js = _block_indices(played) if witness is not None else []
     if js:
-        selector = sx.Union(sx.Finite(tuple(js)), selector)
-    return il.classify_symbolic(ideal, sx.IntervalSchedule(witness.gen, selector))
-
-
-def _union_verdict(
-    ideal: il.Ideal, played, union: list[tuple[int, int]]
-) -> il.Verdict:
-    return il.classify(ideal, blocks_to_setexpr(union)) if played else _NO_ROUNDS
+        selector = sx.Union(sx.Finite(tuple(js)), sx.Tail(js[-1] + 1))
+        return il.classify_symbolic(ideal, sx.IntervalSchedule(witness.gen, selector))
+    if judge is not None:
+        return judge(union)
+    return il.classify(ideal, blocks_to_setexpr(union))
 
 
 def _block_indices(rounds) -> list[int]:
@@ -443,9 +450,7 @@ class IntervalHitOracle(DenseOpenOracle):
         if cyl.space is not sq.Space.SIGMA:
             raise OracleViolation("interval-hit oracle refines sigma cylinders")
         stem = list(cyl.stem)
-        j = 1
-        while self.witness.iota(j) <= len(stem):
-            j += 1
+        j = self.witness.gen.first_index_at_least(len(stem) + 1)
         _steer_block(stem, self.witness.block(j), self.x, self.ball, self.index_cap)
         return sq.Cylinder(sq.Space.SIGMA, tuple(stem))
 
@@ -632,69 +637,50 @@ def build_subseq_witness(
     """
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
+    if not etas:
+        raise ValueError("etas must not be empty")
     witness = il.talagrand_witness(ideal)
     pairs = [(eta, m) for m in range(1, m_max + 1) for eta in etas]
     stem: list[int] = []
-    played: list[Round] = []
-    union: list[tuple[int, int]] = []
-    for k in range(1, rounds + 1):
+
+    def move(so_far, k, c):
         eta, m = pairs[(k - 1) % len(pairs)]
-        block = (witness.block(k),)
-        _steer_block(stem, block[0], x, Ball.of(eta, Fraction(1, m)), index_cap)
-        played.append(
-            Round(
-                k,
-                None,
-                block,
-                note={"eta": str(Fraction(eta)), "m": m, "block_index": k},
-            )
-        )
-        add_blocks(union, block)
-    js = range(1, rounds + 1)  # block k was steered in round k
-    verdict = _blocks_verdict(ideal, witness, js) if played else _NO_ROUNDS
-    return _transcript("sigma-witness", ideal.kind, played, union, verdict,
-                       config, tuple(stem), "sigma")
+        block = witness.block(k)
+        _steer_block(stem, block, x, Ball.of(eta, Fraction(1, m)), index_cap)
+        note = {"eta": str(Fraction(eta)), "m": m, "block_index": k}
+        return Round(k, None, (block,), note=note)
+
+    return _play("sigma-witness", ideal, rounds, lambda so_far, k: None, move,
+                 config, stem, "sigma", witness)
 
 
 # ---------------------------------------------------------------------------
 # Generic builders, game mode
 
 
-def _run_rounds(space, rounds, c_at, fill, oracles, close, hits, note):
-    """The round loop shared by the game-mode builders.
+def _cylinder_move(space, stem, fill, oracles, close, hits, note):
+    """The move of the cylinder builders; it extends the list ``stem``.
 
-    Round k: Player I's c_k, ``fill(stem, c_k)`` up to position c_k - 1,
-    cylinder A_k, the oracle's refinement B_k of A_k, ``close(B_k)``, and
-    the move F_k = ``hits(B_k.stem, c_k)``, the hit positions of
-    [c_k, |B_k|].  Returns the final stem, the rounds and the union of the
-    moves.
+    Round k: ``fill(stem, c_k)`` up to position c_k - 1, cylinder A_k, the
+    oracle's refinement B_k of A_k, ``close(B_k)``, and the move F_k =
+    ``hits(B_k.stem, c_k)``, the hit positions of [c_k, |B_k|].
     """
-    stem: list[int] = []
-    played: list[Round] = []
-    union: list[tuple[int, int]] = []
-    prev_c = 0
-    for k in range(1, rounds + 1):
-        c = c_at(tuple(played), k)
-        if c < prev_c:
-            raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
+    def move(so_far, k, c):
         fill(stem, c)
         a_cyl = sq.Cylinder(space, tuple(stem))
         b_cyl = oracles[k - 1].refine(a_cyl)
         if b_cyl.space is not space or not b_cyl.extends(a_cyl):
             raise OracleViolation(f"round {k}: refinement is not a sub-cylinder")
         b_cyl = close(b_cyl)
-        stem = list(b_cyl.stem)
-        blocks = blocks_from_values(hits(b_cyl.stem, c))
-        played.append(
-            Round(k, c, blocks, A=a_cyl.stem, B=b_cyl.stem, note=note(c, b_cyl))
-        )
-        add_blocks(union, blocks)
-        prev_c = c
-    return tuple(stem), played, union
+        stem[:] = b_cyl.stem
+        return Round(k, c, blocks_from_values(hits(b_cyl.stem, c)),
+                     A=a_cyl.stem, B=b_cyl.stem, note=note(c, b_cyl))
+
+    return move
 
 
 def _ball_hits(x: sq.SeqDescriptor, ball: Ball):
-    """``hits`` for ``_run_rounds``: the positions n in [c, |stem|] whose
+    """``hits`` for ``_cylinder_move``: the positions n in [c, |stem|] whose
     index stem[n - 1] has its term in the ball."""
     test = _in_ball(ball)
 
@@ -733,13 +719,10 @@ def build_subseq_game(
         stem.extend(_next_indices(x, _off_ball(ball), stem[-1] if stem else 0,
                                   c - 1 - len(stem), index_cap))
 
-    stem, played, union = _run_rounds(
-        sq.Space.SIGMA, rounds, strat_i, fill, oracles, lambda b_cyl: b_cyl,
-        _ball_hits(x, ball), _window_note,
-    )
-    verdict = _union_verdict(ideal, played, union)
-    return _transcript("sigma-game", ideal.kind, played, union, verdict,
-                       config, stem, "sigma")
+    stem: list[int] = []
+    move = _cylinder_move(sq.Space.SIGMA, stem, fill, oracles, lambda b_cyl: b_cyl,
+                          _ball_hits(x, ball), _window_note)
+    return _play("sigma-game", ideal, rounds, strat_i, move, config, stem, "sigma")
 
 
 def build_perm_game(
@@ -767,15 +750,13 @@ def build_perm_game(
         missing = tuple(v for v in range(1, b_cyl.m + 1) if v not in used)
         return sq.Cylinder(sq.Space.PI, b_cyl.stem + missing)
 
-    stem, played, union = _run_rounds(
-        sq.Space.PI, rounds, strat_i, fill, oracles, close,
-        _ball_hits(x, ball),
+    stem: list[int] = []
+    move = _cylinder_move(
+        sq.Space.PI, stem, fill, oracles, close, _ball_hits(x, ball),
         lambda c, b_cyl: {"m_B": b_cyl.m, "checkpoint": len(b_cyl.stem),
                           "window": [c, b_cyl.m]},
     )
-    verdict = _union_verdict(ideal, played, union)
-    return _transcript("pi-game", ideal.kind, played, union, verdict, config,
-                       stem, "pi")
+    return _play("pi-game", ideal, rounds, strat_i, move, config, stem, "pi")
 
 
 # ---------------------------------------------------------------------------
@@ -869,21 +850,21 @@ def steer_series(
             sums.append(sums[-1] + Fraction(x.term(i)))
         return b_cyl
 
-    stem, played, union = _run_rounds(
-        sq.Space.SIGMA, rounds, lambda played, k: schedule[k - 1], fill,
+    def judge(union):
+        if not union:
+            return il.Verdict(il.VerdictValue.IN, "Symbolic", "no exceedances recorded")
+        return il.Verdict(il.VerdictValue.UNDECIDED, f"Horizon({len(stem)})",
+                          f"exceedances={blocks_size(union)}")
+
+    stem: list[int] = []
+    move = _cylinder_move(
+        sq.Space.SIGMA, stem, fill,
         [TrivialOracle()] * rounds if oracles is None else oracles, close,
         lambda stem, c: [n for n in range(c, len(stem) + 1) if abs(sums[n]) >= 1],
         lambda c, b_cyl: {**_window_note(c, b_cyl), "sum": str(sums[-1])},
     )
-    if not played:
-        verdict = _NO_ROUNDS
-    elif not union:
-        verdict = il.Verdict(il.VerdictValue.IN, "Symbolic", "no exceedances recorded")
-    else:
-        verdict = il.Verdict(il.VerdictValue.UNDECIDED, f"Horizon({len(stem)})",
-                             f"exceedances={blocks_size(union)}")
-    return _transcript("series", None, played, union, verdict, config,
-                       stem, "sigma")
+    return _play("series", None, rounds, lambda so_far, k: schedule[k - 1], move,
+                 config, stem, "sigma", judge=judge)
 
 
 # ---------------------------------------------------------------------------

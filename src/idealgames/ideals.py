@@ -19,9 +19,11 @@ safe to call in parallel.
 from __future__ import annotations
 
 import enum
+import math
 import os
 import random
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -232,12 +234,22 @@ def _either(x: bool | None, y: bool | None) -> bool | None:
     return True if x or y else None
 
 
+def _float_range(q: Fraction) -> tuple[float, float]:
+    """The largest float <= q and the smallest float >= q, so that a
+    positive q too small for a float still has a positive upper bound."""
+    f = q.numerator / q.denominator  # correctly rounded
+    a, b = f.as_integer_ratio()
+    side = a * q.denominator - q.numerator * b  # the sign of f - q
+    return (math.nextafter(f, -math.inf) if side > 0 else f,
+            math.nextafter(f, math.inf) if side < 0 else f)
+
+
 def _bounds_of(s: sx.SetExpr) -> _Bounds:
     """The fact record of s, exact when s has a periodic normal form."""
     p = _normal_form(s)
     if p is not None:
-        d = float(p.density())
-        return _Bounds(p.is_finite, d, d, d, d, p.is_finite, p.odd_part_finite(), p)
+        lo, hi = _float_range(p.density())
+        return _Bounds(p.is_finite, lo, hi, lo, hi, p.is_finite, p.odd_part_finite(), p)
     if isinstance(s, sx.IntervalSchedule):
         gen = s.gen
         sel = None if gen.min_ratio is None else _normal_form(s.selector)

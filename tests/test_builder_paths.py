@@ -151,8 +151,34 @@ class _Retreating(gm.PlayerI):
         return 100 - 10 * k
 
 
-@pytest.mark.parametrize("build", [gm.build_subseq_game, gm.build_perm_game])
+@pytest.mark.parametrize(
+    "build", [gm.build_subseq_game, gm.build_perm_game, gm.play_laflamme]
+)
 def test_player_i_may_not_retreat(build):
+    if build is gm.play_laflamme:
+        args = (il.density0(), _Retreating(), gm.EmptyPlayerII(), 2)
+    else:
+        args = (ALT, il.density0(), HALF_BALL, [gm.TrivialOracle()] * 2,
+                _Retreating(), 2)
     with pytest.raises(InvalidMove):
-        build(ALT, il.density0(), HALF_BALL, [gm.TrivialOracle()] * 2,
-              _Retreating(), 2)
+        build(*args)
+
+
+NEGATIVE_ROUNDS = {
+    "game": lambda: gm.play_laflamme(
+        il.density0(), gm.LinearPlayerI(10), gm.EmptyPlayerII(), -2
+    ),
+    "sigma-witness": lambda: gm.build_subseq_witness(
+        ALT, il.density0(), [0, 1], 3, -2
+    ),
+    "sigma-game": lambda: BUILDERS["sigma-game"]([], -2),
+    "pi-game": lambda: BUILDERS["pi-game"]([], -2),
+    "series": lambda: BUILDERS["series"](None, -2),
+    "series-list": lambda: gm.steer_series(sq.SignedRationalEnum(), [20, 40, 60], -2),
+}
+
+
+@pytest.mark.parametrize("mode", NEGATIVE_ROUNDS)
+def test_negative_rounds_rejected(mode):
+    with pytest.raises(ValueError, match="rounds must be >= 0"):
+        NEGATIVE_ROUNDS[mode]()

@@ -165,6 +165,37 @@ class TestGeneric:
         assert code2 == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["game", "--ideal", "fin"],
+        ["generic", "--mode", "sigma-game", "--seq", "alt(0,1)", "--ideal", "fin"],
+        ["generic", "--mode", "sigma-witness", "--seq", "alt(0,1)", "--ideal", "fin"],
+        ["series", "--seq", "ratenum-signed"],
+    ],
+)
+def test_negative_rounds_is_an_error_line(capsys, tmp_path, argv):
+    out = tmp_path / "t.jsonl"
+    assert cli.main(argv + ["--rounds", "-2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error:")
+    assert not out.exists()
+
+
+def test_verify_empty_etas_is_an_error_line(capsys, tmp_path):
+    path = tmp_path / "w.jsonl"
+    cli.main(["generic", "--mode", "sigma-witness", "--seq", "alt(0,1)",
+              "--ideal", "density0", "--rounds", "3", "--out", str(path)])
+    lines = path.read_text().splitlines()
+    final = json.loads(lines[-1])
+    final["config"]["etas"] = []
+    lines[-1] = json.dumps(final)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["verify", "--transcript", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines()[0].startswith("error:")
+
+
 class TestSeriesCommand:
     def test_steering_transcript(self, capsys, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -175,6 +175,10 @@ class TestWitnessBuilder:
         assert tr.stem == ()
         assert tr.verdict.value is il.VerdictValue.UNDECIDED
 
+    def test_empty_etas_rejected(self):
+        with pytest.raises(ValueError, match="etas"):
+            gm.build_subseq_witness(ALT, il.density0(), [], 3, 4)
+
     def test_exhausted_fiber(self):
         x = sq.PiecewiseOnSet(sx.Finite((4, 9)), sq.RULE_IDENT, sq.CONST_ZERO)
         with pytest.raises(ExhaustedIndices):

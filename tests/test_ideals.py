@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgames import ideals as il, setexpr as sx
+from idealgames import dsl, ideals as il, setexpr as sx
 from idealgames.errors import HorizonTooSmall, OutsideFragment
 
 SQUARES = sx.Finite(tuple(k * k for k in range(1, 101)))
@@ -34,6 +34,13 @@ class TestSymbolic:
 
     def test_outside_fragment(self):
         s = sx.Compl(sx.schedule_even(sx.generator("pow2")))
+        with pytest.raises(OutsideFragment):
+            il.classify_symbolic(il.density0(), s)
+
+    def test_density_below_the_smallest_float_is_not_zero(self):
+        # ap(1, 10^400) has density 10^-400, which rounds to 0.0; its part in
+        # the even-indexed pow2 blocks has upper density >= 1/(2 * 10^400).
+        s = dsl.parse_set(f"inter(ap(1,{10**400}),compl(isch(pow2,ap(1,2))))")
         with pytest.raises(OutsideFragment):
             il.classify_symbolic(il.density0(), s)
 
