@@ -6,12 +6,10 @@ subsequences."""
 __version__ = "0.1.0"
 
 from .convergence import (
-    LadderSpec,
     PointSet,
     PreserveOutcome,
     accumulation_points,
     cluster_points,
-    default_ladder,
     hausdorff,
     limit_points,
     preserve_outcome,

@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 error, 2 soft failure (Undecided-dominated
 results).  mc and witness require --seed; a randomized strategy or oracle
 spec takes its seed from the spec or from --seed.  The library enforces
-IDEALGAMES_HORIZON_CAP on every horizon and on every index a stem or set
-tail names.
+IDEALGAMES_HORIZON_CAP on every horizon, on every index a stem or set tail
+names, and on every index a builder, oracle or series steering searches.
+limit --depth sets the number of shrinking-ball windows, from 1 to -N.
 """
 from __future__ import annotations
 
@@ -82,8 +83,7 @@ def _cmd_cluster(args) -> int:
 def _cmd_limit(args) -> int:
     x = dsl.parse_seq(args.seq)
     ideal = il.Ideal.from_name(args.ideal)
-    ladder = cv.default_ladder(args.eps, args.horizon, args.depth)
-    ps = cv.limit_points(x, ideal, args.horizon, ladder)
+    ps = cv.limit_points(x, ideal, args.horizon, args.eps, args.depth)
     _emit({"seq": x.label(), "ideal": ideal.kind, **_pointset_payload(ps)}, args.out)
     return EXIT_UNDECIDED if cv.UNDECIDED_FLAG in ps.flags else EXIT_OK
 

@@ -31,29 +31,6 @@ class PointSet:
     undecided: tuple[float, ...] = ()
 
 
-@dataclass(frozen=True)
-class LadderSpec:
-    """Shrinking tolerances eps * 2**-j over successive index windows."""
-
-    base_eps: float
-    depth: int
-    splits: tuple[int, ...]  # 0 = N_0 < N_1 < ... < N_J = horizon
-
-    def __post_init__(self):
-        if self.depth < 1 or len(self.splits) != self.depth + 1:
-            raise ValueError("need depth >= 1 and depth+1 split points")
-        if any(b <= a for a, b in zip(self.splits, self.splits[1:])):
-            raise ValueError("splits must increase strictly")
-
-    def eps_at(self, j: int) -> float:
-        return self.base_eps * 2.0**-j
-
-
-def default_ladder(eps: float, horizon: int, depth: int = 6) -> LadderSpec:
-    splits = tuple(round(j * horizon / depth) for j in range(depth + 1))
-    return LadderSpec(eps, depth, splits)
-
-
 def _candidates(
     x: sq.SeqDescriptor, codes: np.ndarray, pitch: float
 ) -> tuple[np.ndarray, float]:
@@ -85,8 +62,12 @@ def _view(x: sq.SeqDescriptor, limit: int, pitch: float):
 
 
 def _view_of(vals: np.ndarray, pitch: float):
-    """``_view`` of the sequence whose values array is vals."""
-    codes = np.unique(np.round(vals[1:] / pitch))
+    """``_view`` of the sequence whose values array is vals.
+
+    Adding 0.0 turns a code -0.0 into 0.0, so a zero candidate is always
+    printed as 0.0.
+    """
+    codes = np.unique(np.round(vals[1:] / pitch) + 0.0)
     return codes, lambda c, r, s=slice(None): np.abs(vals[s] - c) <= r
 
 
@@ -134,15 +115,6 @@ def _classify_hits(
     limit: int,
 ) -> il.Verdict:
     """Verdict for the hit set of one candidate ball (slot 0 False)."""
-    if ideal.kind == il.FIN:
-        # Count rule only: keeps the collapse onto accumulation_points exact.
-        c = int(np.count_nonzero(hits))
-        value = (
-            il.VerdictValue.NOT_IN
-            if c >= ideal.fin_cutoff
-            else il.VerdictValue.IN
-        )
-        return il.Verdict(value, f"Horizon({limit})", f"count={c}")
     # Only a descriptor that overrides hit_set can name its hit set, and the
     # exact bounds cost more than the horizon count, so build them only then.
     seq = x.seq if isinstance(x, _Gathered) else x
@@ -159,7 +131,13 @@ def _classify_hits(
 def cluster_points(
     x: sq.SeqDescriptor, ideal: il.Ideal, limit: int, eps: float
 ) -> PointSet:
-    """Candidates whose eps-ball hit set avoids the ideal."""
+    """Candidates whose eps-ball hit set avoids the ideal.
+
+    Under fin these are the accumulation points with ``fin_cutoff`` hits,
+    so the two sets coincide by construction.
+    """
+    if ideal.kind == il.FIN:
+        return accumulation_points(x, limit, eps, ideal.fin_cutoff)
     _check_horizon(limit, eps)
 
     def hit_verdict(near, c):
@@ -172,31 +150,30 @@ def limit_points(
     x: sq.SeqDescriptor,
     ideal: il.Ideal,
     limit: int,
-    ladder: LadderSpec | None = None,
-    eps: float | None = None,
+    eps: float,
+    depth: int = 6,
 ) -> PointSet:
     """Candidates whose shrinking-ball witness set avoids the ideal.
 
-    The witness set of a candidate collects, window by window, the indices
-    whose terms fall within the window's tolerance; a single index set that
-    both forces convergence at the ladder rate and avoids the ideal.
+    The indices 1..limit are cut into ``depth`` windows of near-equal
+    length, and window j tolerates eps * 2**-j.  The witness set of a
+    candidate collects, window by window, the indices whose terms fall
+    within the window's tolerance; a single index set that both forces
+    convergence at that rate and avoids the ideal.
     """
-    if ladder is None:
-        if eps is None:
-            raise ValueError("need a ladder or an eps to build the default one")
-        ladder = default_ladder(eps, limit)
-    if ladder.splits[-1] != limit:
-        raise ValueError("ladder must end at the horizon")
-    _check_horizon(limit, ladder.base_eps)
+    _check_horizon(limit, eps)
+    if not 1 <= depth <= limit:
+        raise ValueError(f"depth must lie in [1, {limit}], got {depth}")
+    splits = [round(j * limit / depth) for j in range(depth + 1)]
 
     def witness_verdict(near, c):
         witness = np.zeros(limit + 1, dtype=bool)
-        for j in range(1, ladder.depth + 1):
-            s = slice(ladder.splits[j - 1] + 1, ladder.splits[j] + 1)
-            witness[s] = near(c, ladder.eps_at(j), s)
+        for j in range(1, depth + 1):
+            s = slice(splits[j - 1] + 1, splits[j] + 1)
+            witness[s] = near(c, eps * 2.0**-j, s)
         return il.classify_horizon_counts(ideal, witness, limit).value
 
-    return _point_set(x, limit, ladder.base_eps, witness_verdict)
+    return _point_set(x, limit, eps, witness_verdict)
 
 
 def point_set(
@@ -206,7 +183,7 @@ def point_set(
     if kind == "cluster":
         return cluster_points(x, ideal, limit, eps)
     if kind == "limit":
-        return limit_points(x, ideal, limit, eps=eps)
+        return limit_points(x, ideal, limit, eps)
     raise ValueError("kind must be 'cluster' or 'limit'")
 
 
@@ -247,13 +224,9 @@ class _Prepared:
         self.key = (kind, x, ideal, limit, eps)
         self.pitch = eps / 2.0
         self.vals = x.values(reach)
-        grid = np.round(self.vals / self.pitch)
+        grid = np.round(self.vals / self.pitch) + 0.0  # no code -0.0, as in _view_of
         self.codes = np.unique(grid)
         self.code_id = np.searchsorted(self.codes, grid)
-        # np.unique keeps whichever signed zero its sort puts first.  When x
-        # has both, each view runs its own np.unique, as the direct path does.
-        neg = np.signbit(grid[grid == 0])
-        self.mixed_zero = 0 < neg.sum() < len(neg)
         del grid
         self.pointset = point_set(
             kind, _Gathered(x, self.view(slice(0, limit + 1))), ideal, limit, eps
@@ -262,8 +235,6 @@ class _Prepared:
     def view(self, idx: np.ndarray | slice):
         """``_view`` of the sequence whose n-th term is x's term idx[n]."""
         v = self.vals[idx]
-        if self.mixed_zero:
-            return _view_of(v, self.pitch)
         mark = np.zeros(len(self.codes), dtype=bool)
         mark[self.code_id[idx][1:]] = True
         return self.codes[mark], lambda c, r, s=slice(None): np.abs(v[s] - c) <= r

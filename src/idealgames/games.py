@@ -42,8 +42,6 @@ from .periodic import merge_blocks
 
 Blocks = tuple[tuple[int, int], ...]
 
-DEFAULT_INDEX_CAP = 1_000_000
-
 
 def blocks_from_values(values) -> Blocks:
     return merge_blocks([(v, v + 1) for v in values])
@@ -396,28 +394,33 @@ class TrivialOracle(DenseOpenOracle):
 
 
 class RandomExtensionOracle(DenseOpenOracle):
-    """Seeded random stem extension; each round gets its own derived seed."""
+    """Seeded random stem extension; each round gets its own derived seed.
 
-    def __init__(self, seed: int, k: int, max_steps: int = 6, max_jump: int = 9):
+    It appends 1 to ``MAX_STEPS`` entries, each at most ``MAX_JUMP`` past
+    the last (sigma) or past the largest so far (pi).
+    """
+
+    MAX_STEPS = 6
+    MAX_JUMP = 9
+
+    def __init__(self, seed: int, k: int):
         self.seed = seed
         self.k = k
-        self.max_steps = max_steps
-        self.max_jump = max_jump
 
     def refine(self, cyl):
         rng = random.Random(self.seed * 1_000_003 + self.k)
         stem = list(cyl.stem)
-        steps = rng.randint(1, self.max_steps)
+        steps = rng.randint(1, self.MAX_STEPS)
         if cyl.space is sq.Space.SIGMA:
             last = stem[-1] if stem else 0
             for _ in range(steps):
-                last += rng.randint(1, self.max_jump)
+                last += rng.randint(1, self.MAX_JUMP)
                 stem.append(last)
         else:
             used = set(stem)
             top = max(used, default=0)
             for _ in range(steps):
-                v = rng.randint(1, top + self.max_jump)
+                v = rng.randint(1, top + self.MAX_JUMP)
                 while v in used:
                     v += 1
                 used.add(v)
@@ -434,24 +437,17 @@ class IntervalHitOracle(DenseOpenOracle):
     carry terms inside the ball.
     """
 
-    def __init__(
-        self,
-        x: sq.SeqDescriptor,
-        ball: "Ball",
-        witness: il.TalagrandWitness,
-        index_cap: int = DEFAULT_INDEX_CAP,
-    ):
+    def __init__(self, x: sq.SeqDescriptor, ball: "Ball", witness: il.TalagrandWitness):
         self.x = x
         self.ball = ball
         self.witness = witness
-        self.index_cap = index_cap
 
     def refine(self, cyl):
         if cyl.space is not sq.Space.SIGMA:
             raise OracleViolation("interval-hit oracle refines sigma cylinders")
         stem = list(cyl.stem)
         j = self.witness.gen.first_index_at_least(len(stem) + 1)
-        _steer_block(stem, self.witness.block(j), self.x, self.ball, self.index_cap)
+        _steer_block(stem, self.witness.block(j), self.x, self.ball)
         return sq.Cylinder(sq.Space.SIGMA, tuple(stem))
 
 
@@ -506,9 +502,10 @@ def _prefilter(x: sq.SeqDescriptor, test: _Test, top: int,
     ``ok`` is the float comparison against the interval of ``test``, and
     ``near`` marks the terms it cannot decide, which ``test.exact`` must.
     Returns None, and leaves every term to ``test.exact``, where the float
-    path cannot serve: past the horizon cap, or where ``values`` or a bound
-    has no float (a term or a bound too large for float64, a set tail that
-    runs out before ``top``, a descriptor that defines only ``term``).
+    path cannot serve: past the horizon cap (a tampered transcript may name
+    any index), or where ``values`` or a bound has no float (a term or a
+    bound too large for float64, a set tail that runs out before ``top``,
+    a descriptor that defines only ``term``).
 
     Exactness.  ``values[n]`` is the float64 nearest ``term(n)`` for every
     descriptor: ``float()`` of an integer or Fraction (alternating pairs,
@@ -551,22 +548,21 @@ def _next_indices(x: sq.SeqDescriptor, test: _Test, after: int, k: int,
     takes it in most steps, and one exact test costs less than one numpy
     pass.  The rest is scanned in chunks that double in width, each read
     from one ``x.values`` call, so the float work is bounded by twice the
-    last index reached.  Chunks stop at the horizon cap; indices past it,
-    and all indices once ``values`` has failed, are tried exactly.
+    last index reached.  Once ``_prefilter`` has returned None, every later
+    index is tried exactly.  Every builder and oracle passes the horizon
+    cap as ``cap``, so no search reads past it.
     """
     found: list[int] = []
     done = after  # every index through ``done`` is decided
     width = 1
-    floats_to = min(cap, il.horizon_cap())
+    floats = True
     while len(found) < k and done < cap:
+        top = min(done + width, cap)
         verdicts = None
-        if width > 1 and done < floats_to:
-            top = min(done + width, floats_to)
+        if width > 1 and floats:
             verdicts = _prefilter(x, test, top, slice(done + 1, None))
-            if verdicts is None:
-                floats_to = done
+            floats = verdicts is not None
         if verdicts is None:
-            top = min(done + width, cap)
             near = None
             candidates = range(top - done)
         else:
@@ -604,16 +600,15 @@ def _passes(x: sq.SeqDescriptor, test: _Test, idx: list[int]) -> list[bool]:
     return ok.tolist()
 
 
-def _steer_block(stem: list[int], block: tuple[int, int], x, ball: Ball,
-                 index_cap: int) -> None:
+def _steer_block(stem: list[int], block: tuple[int, int], x, ball: Ball) -> None:
     """Pad the stem with consecutive indices up to position lo - 1, then
-    fill positions [lo, hi) with increasing indices whose terms lie in the
-    ball."""
+    fill positions [lo, hi) with increasing indices, none past the horizon
+    cap, whose terms lie in the ball."""
     lo, hi = block
     last = stem[-1] if stem else 0
     pad = max(lo - 1 - len(stem), 0)
     stem.extend(range(last + 1, last + 1 + pad))
-    stem.extend(_next_indices(x, _in_ball(ball), last + pad, hi - lo, index_cap))
+    stem.extend(_next_indices(x, _in_ball(ball), last + pad, hi - lo, il.horizon_cap()))
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +621,6 @@ def build_subseq_witness(
     etas: list,
     m_max: int,
     rounds: int,
-    index_cap: int = DEFAULT_INDEX_CAP,
     config: dict | None = None,
 ) -> Transcript:
     """Map full witness blocks of positions into shrinking balls, round-robin.
@@ -646,7 +640,7 @@ def build_subseq_witness(
     def move(so_far, k, c):
         eta, m = pairs[(k - 1) % len(pairs)]
         block = witness.block(k)
-        _steer_block(stem, block, x, Ball.of(eta, Fraction(1, m)), index_cap)
+        _steer_block(stem, block, x, Ball.of(eta, Fraction(1, m)))
         note = {"eta": str(Fraction(eta)), "m": m, "block_index": k}
         return Round(k, None, (block,), note=note)
 
@@ -703,7 +697,6 @@ def build_subseq_game(
     oracles,
     strat_i: PlayerI,
     rounds: int,
-    index_cap: int = DEFAULT_INDEX_CAP,
     config: dict | None = None,
 ) -> Transcript:
     """Interleave the game with cylinder refinement.
@@ -715,9 +708,11 @@ def build_subseq_game(
     rounds with ball-avoiding indices, so the recorded F_k stays exactly
     the window's hit set in the final subsequence.
     """
+    cap = il.horizon_cap()
+
     def fill(stem, c):
         stem.extend(_next_indices(x, _off_ball(ball), stem[-1] if stem else 0,
-                                  c - 1 - len(stem), index_cap))
+                                  c - 1 - len(stem), cap))
 
     stem: list[int] = []
     move = _cylinder_move(sq.Space.SIGMA, stem, fill, oracles, lambda b_cyl: b_cyl,
@@ -732,17 +727,18 @@ def build_perm_game(
     oracles,
     strat_i: PlayerI,
     rounds: int,
-    index_cap: int = DEFAULT_INDEX_CAP,
     config: dict | None = None,
 ) -> Transcript:
     """Permutation variant: smallest unused ball-avoiding values fill the
     gaps, and every refined cylinder is closed into a permutation of an
     initial segment before the move is extracted (the checkpoint rule)."""
+    cap = il.horizon_cap()
+
     def fill(stem, c):
         # The values found are new and increasing, so they are the smallest
         # ball-avoiding values unused before the call.
-        stem.extend(_next_indices(x, _off_ball(ball), 0, c - 1 - len(stem),
-                                  index_cap, skip=set(stem)))
+        stem.extend(_next_indices(x, _off_ball(ball), 0, c - 1 - len(stem), cap,
+                                  skip=set(stem)))
 
     def close(b_cyl):
         # Close the prefix into a permutation of {1..max}: the checkpoint.
@@ -775,9 +771,8 @@ class ForcingOracle(DenseOpenOracle):
     oracle may serve every forcing round of a build.
     """
 
-    def __init__(self, x: sq.SeqDescriptor, index_cap: int = DEFAULT_INDEX_CAP):
+    def __init__(self, x: sq.SeqDescriptor):
         self.x = x
-        self.index_cap = index_cap
         self._summed: tuple[tuple[int, ...], Fraction] = ((), Fraction(0))
 
     def _sum(self, stem: tuple[int, ...]) -> Fraction:
@@ -798,7 +793,7 @@ class ForcingOracle(DenseOpenOracle):
                      *sorted((Fraction(sign, 4), Fraction(sign))))
         while abs(s) < 1:
             stem += _next_indices(self.x, step, stem[-1] if stem else 0, 1,
-                                  self.index_cap)
+                                  il.horizon_cap())
             s += Fraction(self.x.term(stem[-1]))
         self._summed = (tuple(stem), s)
         return sq.Cylinder(sq.Space.SIGMA, self._summed[0])
@@ -809,7 +804,6 @@ def steer_series(
     c_schedule,
     rounds: int,
     oracles=None,
-    index_cap: int = DEFAULT_INDEX_CAP,
     config: dict | None = None,
 ) -> Transcript:
     """Greedy partial-sum steering with optional adversarial refinement.
@@ -829,18 +823,18 @@ def steer_series(
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise InvalidMove("c-schedule must increase strictly")
     sums: list[Fraction] = [Fraction(0)]  # sums[n] = S_n, sums[0] = 0
+    cap = il.horizon_cap()
 
     def fill(stem, c):
         while len(stem) < c - 1:
             s, last = sums[-1], stem[-1] if stem else 0
             # Most steps take the next index: test it by the sum it makes.
-            if last < index_cap and -1 < (t := s + Fraction(x.term(last + 1))) < 1:
+            if last < cap and -1 < (t := s + Fraction(x.term(last + 1))) < 1:
                 stem.append(last + 1)
                 sums.append(t)
                 continue
             try:
-                stem += _next_indices(x, _in_window(-1 - s, 1 - s), last, 1,
-                                      index_cap)
+                stem += _next_indices(x, _in_window(-1 - s, 1 - s), last, 1, cap)
             except ExhaustedIndices as exc:
                 raise SteeringStuck(str(exc)) from exc
             sums.append(s + Fraction(x.term(stem[-1])))

@@ -29,8 +29,11 @@ class Generator:
     ``affine=(a, b)`` declares the closed form value(n) = a*n + b, which the
     symbolic layer exploits for exact reductions.  ``min_ratio`` declares a
     sound lower bound on value(n+1)/value(n); ``interval_harmonic_lower`` a
-    sound lower bound on sum(1/i for i in [value(n), value(n+1))).
+    sound lower bound on sum(1/i for i in [value(n), value(n+1))).  A
+    generator without a closed form has no term past ``MAX_INDEX``.
     """
+
+    MAX_INDEX = 10_000_000
 
     def __init__(
         self,
@@ -41,7 +44,6 @@ class Generator:
         affine: tuple[int, int] | None = None,
         min_ratio: float | None = None,
         interval_harmonic_lower: float | None = None,
-        max_index: int = 10_000_000,
     ):
         if (fn is None) == (step is None):
             raise ValueError("exactly one of fn/step is required")
@@ -51,7 +53,6 @@ class Generator:
         self.affine = affine
         self.min_ratio = min_ratio
         self.interval_harmonic_lower = interval_harmonic_lower
-        self.max_index = max_index
         self._memo: list[int] = [] if first is None else [first]
         self._lock = threading.Lock()
 
@@ -62,7 +63,7 @@ class Generator:
         if self.affine is not None:
             a, b = self.affine
             return a * n + b
-        if n > self.max_index:
+        if n > self.MAX_INDEX:
             raise IdealGamesError(f"generator {self.name} index {n} over cap")
         with self._lock:
             while len(self._memo) < n:

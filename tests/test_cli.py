@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -75,6 +76,22 @@ class TestCluster:
         )
         assert code == 0
         assert json.loads(out)["points"] == [0.0, 1.0]
+
+    @pytest.mark.parametrize("depth", ["0", "10001"])
+    def test_limit_depth_out_of_range_is_an_error_line(self, capsys, depth):
+        code = cli.main(["limit", "--seq", "alt(0,1)", "--ideal", "fin",
+                         "--depth", depth])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: depth must lie in [1, 10000]")
+
+    @pytest.mark.parametrize("horizon", ["9000", "10000"])
+    def test_zero_is_never_printed_signed(self, capsys, horizon):
+        # ratenum-signed has codes 0.0 and -0.0 at both horizons.
+        code, out = run(capsys, "cluster", "--seq", "ratenum-signed", "--ideal", "fin",
+                        "-N", horizon)
+        assert code == 0
+        assert re.search(r"-0\.0(?!\d)", out) is None
+        assert 0.0 in json.loads(out)["points"]
 
 
 class TestPreserve:

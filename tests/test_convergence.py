@@ -73,12 +73,13 @@ class TestLimitPoints:
         ps = cv.limit_points(PIECEWISE, il.density0(), 10_000, eps=0.05)
         assert eps_match(ps.points, (0.0,), 0.05)
 
-    def test_ladder_validation(self):
-        with pytest.raises(ValueError):
-            cv.LadderSpec(0.05, 2, (0, 5, 4))
-        ladder = cv.default_ladder(0.05, 600, depth=3)
-        assert ladder.splits == (0, 200, 400, 600)
-        assert ladder.eps_at(1) == 0.025
+    def test_depth_validation(self):
+        for depth in (0, -1, 601):
+            with pytest.raises(ValueError, match=r"depth must lie in \[1, 600\]"):
+                cv.limit_points(ALT, il.density0(), 600, 0.05, depth)
+        for depth in (1, 3, 600):
+            ps = cv.limit_points(ALT, il.density0(), 600, 0.05, depth)
+            assert ps.points == (0.0, 1.0)
 
 
 class TestInclusionChain:

@@ -179,10 +179,11 @@ class TestWitnessBuilder:
         with pytest.raises(ValueError, match="etas"):
             gm.build_subseq_witness(ALT, il.density0(), [], 3, 4)
 
-    def test_exhausted_fiber(self):
+    def test_exhausted_fiber(self, monkeypatch):
+        monkeypatch.setenv("IDEALGAMES_HORIZON_CAP", "500")
         x = sq.PiecewiseOnSet(sx.Finite((4, 9)), sq.RULE_IDENT, sq.CONST_ZERO)
         with pytest.raises(ExhaustedIndices):
-            gm.build_subseq_witness(x, il.density0(), [9], 3, 6, index_cap=500)
+            gm.build_subseq_witness(x, il.density0(), [9], 3, 6)
 
 
 class TestSigmaGameBuilder:

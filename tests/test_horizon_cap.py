@@ -1,19 +1,22 @@
 """IDEALGAMES_HORIZON_CAP is enforced by the library, on every entry that
-takes a horizon and on every index a stem or set tail names."""
+takes a horizon, on every index a stem or set tail names, and on every
+index a builder searches."""
 import json
+import re
 
 import pytest
 
 from idealgames import (
     cli,
     convergence as cv,
+    games as gm,
     ideals as il,
     mc,
     seqspace as sq,
     series as se,
     setexpr as sx,
 )
-from idealgames.errors import HorizonCapExceeded
+from idealgames.errors import ExhaustedIndices, HorizonCapExceeded, SteeringStuck
 
 ALT = sq.AlternatingPair(0, 1)
 
@@ -96,6 +99,38 @@ class TestHorizons:
         assert il.classify_horizon(il.fin(), sx.Tail(1), 1000).decided
         assert cv.cluster_points(ALT, il.fin(), 1000, 0.05).points == (0.0, 1.0)
         assert len(se.partial_sums(ALT, 1000).values) == 1000
+
+
+class TestIndexSearches:
+    """Each builder searches no index past the cap: a ball or window that no
+    term meets fails at the cap, with no value read past it."""
+
+    @pytest.mark.parametrize("error,names,build", [
+        # alt(0,1) has no term in the ball of radius 1 around 5 ...
+        (ExhaustedIndices, ", 1000]", lambda: gm.build_subseq_witness(
+            ALT, il.density0(), [5], 1, 3)),
+        # ... and none outside the ball of radius 2 around 0.
+        (ExhaustedIndices, ", 1000]", lambda: gm.build_subseq_game(
+            ALT, il.density0(), gm.Ball.of(0, 2), [gm.TrivialOracle()] * 3,
+            gm.LinearPlayerI(10), 3)),
+        (ExhaustedIndices, ", 1000]", lambda: gm.build_perm_game(
+            ALT, il.density0(), gm.Ball.of(0, 2), [gm.TrivialOracle()] * 3,
+            gm.LinearPlayerI(10), 3)),
+        # series --seq ratenum-signed --rounds 6 --c-step 20 --oracles random:4
+        (SteeringStuck, "(40, 1000]", lambda: gm.steer_series(
+            sq.SignedRationalEnum(), lambda k: 20 * k, 6,
+            oracles=[gm.RandomExtensionOracle(4, k) for k in range(1, 7)])),
+    ])
+    def test_builder_stops_at_the_cap(self, monkeypatch, error, names, build):
+        tops = []
+        for cls in (sq.AlternatingPair, sq.SignedRationalEnum):
+            real = cls.values
+            monkeypatch.setattr(
+                cls, "values", lambda self, n, real=real: tops.append(n) or real(self, n)
+            )
+        with pytest.raises(error, match=re.escape(names)):
+            build()
+        assert tops and max(tops) <= 1000
 
 
 class TestTransformIndices:
