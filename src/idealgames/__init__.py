@@ -83,7 +83,6 @@ from .seqspace import (
     subseq_apply,
 )
 from .series import (
-    PartialSumView,
     ideal_bounded,
     partial_sums,
     subseq_sums_bounded,

@@ -59,7 +59,7 @@ def _pointset_payload(ps: cv.PointSet) -> dict:
 
 
 def _cmd_classify(args) -> int:
-    ideal = il.Ideal.from_name(args.ideal)
+    ideal = il.Ideal(args.ideal)
     expr = dsl.parse_set(args.set)
     if args.mode == "symbolic":
         verdict = il.classify_symbolic(ideal, expr)
@@ -74,7 +74,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_cluster(args) -> int:
     x = dsl.parse_seq(args.seq)
-    ideal = il.Ideal.from_name(args.ideal)
+    ideal = il.Ideal(args.ideal)
     ps = cv.cluster_points(x, ideal, args.horizon, args.eps)
     _emit({"seq": x.label(), "ideal": ideal.kind, **_pointset_payload(ps)}, args.out)
     return EXIT_UNDECIDED if cv.UNDECIDED_FLAG in ps.flags else EXIT_OK
@@ -82,7 +82,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_limit(args) -> int:
     x = dsl.parse_seq(args.seq)
-    ideal = il.Ideal.from_name(args.ideal)
+    ideal = il.Ideal(args.ideal)
     ps = cv.limit_points(x, ideal, args.horizon, args.eps, args.depth)
     _emit({"seq": x.label(), "ideal": ideal.kind, **_pointset_payload(ps)}, args.out)
     return EXIT_UNDECIDED if cv.UNDECIDED_FLAG in ps.flags else EXIT_OK
@@ -90,7 +90,7 @@ def _cmd_limit(args) -> int:
 
 def _cmd_preserve(args) -> int:
     x = dsl.parse_seq(args.seq)
-    ideal = il.Ideal.from_name(args.ideal)
+    ideal = il.Ideal(args.ideal)
     t = dsl.parse_transform(args.transform)
     outcome = cv.preserve_outcome(args.kind, x, t, ideal, args.horizon, args.eps)
     _emit(
@@ -143,7 +143,7 @@ def _cmd_generic(args) -> int:
 def _cmd_series(args) -> int:
     if args.sigma:
         x = dsl.parse_seq(args.seq)
-        ideal = il.Ideal.from_name(args.ideal)
+        ideal = il.Ideal(args.ideal)
         if args.sigma.startswith("stem@"):
             with open(args.sigma[5:]) as fh:
                 stem = json.load(fh)
@@ -180,7 +180,7 @@ def _cmd_series(args) -> int:
 def _cmd_mc(args) -> int:
     report, batches = mc.estimate_preservation(
         dsl.parse_seq(args.seq),
-        il.Ideal.from_name(args.ideal),
+        il.Ideal(args.ideal),
         args.kind,
         args.samples,
         args.horizon,
@@ -205,7 +205,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    ideal = il.Ideal.from_name(args.ideal)
+    ideal = il.Ideal(args.ideal)
     report = il.witness_soundness_report(
         ideal,
         trials=args.trials,

@@ -93,15 +93,14 @@ def _point_set(x, limit, eps, verdict_at) -> PointSet:
     return PointSet(tuple(kept), eps, flags, tuple(undecided))
 
 
-def accumulation_points(
-    x: sq.SeqDescriptor, limit: int, eps: float, min_hits: int = 50
-) -> PointSet:
-    """Candidates whose eps-ball captures at least min_hits terms."""
+def accumulation_points(x: sq.SeqDescriptor, limit: int, eps: float) -> PointSet:
+    """Candidates whose eps-ball captures at least ``il.COUNT_CUTOFF`` terms."""
     _check_horizon(limit, eps)
 
     def captures(near, c):
         hits = int(np.count_nonzero(near(c, eps)))
-        return il.VerdictValue.NOT_IN if hits >= min_hits else il.VerdictValue.IN
+        return (il.VerdictValue.NOT_IN if hits >= il.COUNT_CUTOFF
+                else il.VerdictValue.IN)
 
     return _point_set(x, limit, eps, captures)
 
@@ -133,11 +132,11 @@ def cluster_points(
 ) -> PointSet:
     """Candidates whose eps-ball hit set avoids the ideal.
 
-    Under fin these are the accumulation points with ``fin_cutoff`` hits,
-    so the two sets coincide by construction.
+    Under fin these are the accumulation points, whose ``il.COUNT_CUTOFF``
+    is fin's count, so the two sets coincide by construction.
     """
     if ideal.kind == il.FIN:
-        return accumulation_points(x, limit, eps, ideal.fin_cutoff)
+        return accumulation_points(x, limit, eps)
     _check_horizon(limit, eps)
 
     def hit_verdict(near, c):

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,9 +186,13 @@ class Move:
 
 
 class PlayerI:
-    """Cofinite-set strategy: a pure function of the transcript so far."""
+    """Cofinite-set strategy: a pure function of the transcript so far.
 
-    def __call__(self, rounds: tuple[Round, ...], k: int) -> int:
+    ``rounds`` is the game's own list of the rounds played so far: a
+    strategy reads it and never changes it.
+    """
+
+    def __call__(self, rounds: Sequence[Round], k: int) -> int:
         raise NotImplementedError
 
 
@@ -225,7 +229,10 @@ class RandomJumpPlayerI(PlayerI):
 
 
 class PlayerII:
-    def __call__(self, rounds: tuple[Round, ...], k: int, c: int) -> Move:
+    """Finite-move strategy.  Like ``PlayerI``, it reads ``rounds`` and
+    never changes it."""
+
+    def __call__(self, rounds: Sequence[Round], k: int, c: int) -> Move:
         raise NotImplementedError
 
 
@@ -315,9 +322,11 @@ def _play(mode, ideal, rounds, player_i, move, config, stem=None, space=None,
     """The round loop of every game and builder.
 
     Round k: Player I's c_k, which may not fall below c_{k-1} (None in the
-    witness mode, which has no Player I); the mode's ``move(so_far, k,
+    witness mode, which has no Player I); the mode's ``move(played, k,
     c_k)``, a ``Round`` whose F_k must lie in [c_k, oo); and F_k joins the
-    union.  ``stem`` is the list the moves extend, if any.
+    union.  Both players and ``move`` read ``played``, the rounds so far,
+    in place, without a copy.  ``stem`` is the list the moves extend, if
+    any.
     """
     if rounds < 0:
         raise ValueError("rounds must be >= 0")
@@ -325,11 +334,10 @@ def _play(mode, ideal, rounds, player_i, move, config, stem=None, space=None,
     union: list[tuple[int, int]] = []
     prev_c = 0
     for k in range(1, rounds + 1):
-        so_far = tuple(played)
-        c = player_i(so_far, k)
+        c = player_i(played, k)
         if c is not None and c < prev_c:
             raise InvalidMove(f"round {k}: c={c} below previous {prev_c}")
-        r = move(so_far, k, c)
+        r = move(played, k, c)
         if c is not None and any(lo < c for lo, _ in r.F):
             raise InvalidMove(f"round {k}: move leaves [{c}, oo)")
         played.append(r)
@@ -535,9 +543,8 @@ def _prefilter(x: sq.SeqDescriptor, test: _Test, top: int,
 
 
 def _next_indices(x: sq.SeqDescriptor, test: _Test, after: int, k: int,
-                  cap: int, skip=frozenset()) -> list[int]:
-    """The first k indices i in (after, cap], none in ``skip``, whose terms
-    pass ``test.exact``.
+                  cap: int) -> list[int]:
+    """The first k indices i in (after, cap] whose terms pass ``test.exact``.
 
     Every decision is that of ``test.exact(x.term(i))`` tried on i =
     after + 1, after + 2, ... in turn, and so is the ExhaustedIndices
@@ -570,7 +577,7 @@ def _next_indices(x: sq.SeqDescriptor, test: _Test, after: int, k: int,
             candidates = np.flatnonzero(ok | near).tolist()
         for j in candidates:
             i = done + 1 + j
-            if i in skip or (near is None or near[j]) and not test.exact(x.term(i)):
+            if (near is None or near[j]) and not test.exact(x.term(i)):
                 continue
             found.append(i)
             if len(found) == k:
@@ -735,10 +742,10 @@ def build_perm_game(
     cap = il.horizon_cap()
 
     def fill(stem, c):
-        # The values found are new and increasing, so they are the smallest
-        # ball-avoiding values unused before the call.
-        stem.extend(_next_indices(x, _off_ball(ball), 0, c - 1 - len(stem), cap,
-                                  skip=set(stem)))
+        # Every round closes the stem into a permutation of 1..len(stem), so
+        # the smallest unused ball-avoiding values all lie past len(stem).
+        stem.extend(_next_indices(x, _off_ball(ball), len(stem), c - 1 - len(stem),
+                                  cap))
 
     def close(b_cyl):
         # Close the prefix into a permutation of {1..max}: the checkpoint.

@@ -68,29 +68,26 @@ FUBINI_ODD = "fubini-odd"
 
 KINDS = (FIN, DENSITY0, SUMMABLE, FUBINI_ODD)
 
+# Horizon-classifier thresholds.  An ideal is its kind, so these are
+# constants of the classifier rather than fields of the ideal, and a report
+# that echoes the ideal's name replays.
+THETA_LOW = 0.02  # density0: dhat below it reads InIdeal
+THETA_HIGH = 0.10  # density0: dhat above it reads NotInIdeal
+SUM_BOUND = 4.0  # summable: a reciprocal sum above it reads NotInIdeal
+# fin's count, fubini-odd's odd count and the hit count of accumulation
+# points: a count this large reads NotInIdeal.
+COUNT_CUTOFF = 50
+
 
 @dataclass(frozen=True)
 class Ideal:
-    """Descriptor of a built-in ideal plus its horizon-classifier thresholds."""
+    """Descriptor of a built-in ideal: one of ``KINDS``."""
 
     kind: str
-    theta_low: float = 0.02
-    theta_high: float = 0.10
-    sum_bound: float = 4.0
-    fin_cutoff: int = 50
-    odd_cutoff: int = 50
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown ideal kind {self.kind!r}")
-        if not (0.0 < self.theta_low < self.theta_high < 1.0):
-            raise ValueError("need 0 < theta_low < theta_high < 1")
-        if self.sum_bound <= 0 or self.fin_cutoff < 1 or self.odd_cutoff < 1:
-            raise ValueError("bounds must be positive")
-
-    @classmethod
-    def from_name(cls, name: str, **kwargs) -> "Ideal":
-        return cls(kind=name, **kwargs)
 
 
 def fin() -> Ideal:
@@ -394,7 +391,7 @@ def classify_horizon_counts(
     """
     if ideal.kind == FIN:
         c = int(np.count_nonzero(ind))
-        if c >= ideal.fin_cutoff:
+        if c >= COUNT_CUTOFF:
             return _horizon(VerdictValue.NOT_IN, horizon, f"count={c}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"count={c}")
     if ideal.kind == DENSITY0:
@@ -404,17 +401,17 @@ def classify_horizon_counts(
         )
         counts += np.count_nonzero(ind[:lo])
         dhat = float((counts / _arange(lo, horizon + 1)).max())
-        if dhat < ideal.theta_low:
+        if dhat < THETA_LOW:
             return _horizon(VerdictValue.IN, horizon, f"dhat={dhat:.6g}")
-        if dhat > ideal.theta_high:
+        if dhat > THETA_HIGH:
             return _horizon(VerdictValue.NOT_IN, horizon, f"dhat={dhat:.6g}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"dhat={dhat:.6g}")
     if ideal.kind == SUMMABLE:
         n = _arange(1, horizon + 1, np.float64)
         total = float((ind[1 : horizon + 1] / n).sum())
-        if total > ideal.sum_bound:
+        if total > SUM_BOUND:
             return _horizon(VerdictValue.NOT_IN, horizon, f"recip-sum={total:.6g}")
-        if tail_upper is not None and total + tail_upper < ideal.sum_bound:
+        if tail_upper is not None and total + tail_upper < SUM_BOUND:
             return _horizon(
                 VerdictValue.IN,
                 horizon,
@@ -423,7 +420,7 @@ def classify_horizon_counts(
         return _horizon(VerdictValue.UNDECIDED, horizon, f"recip-sum={total:.6g}")
     if ideal.kind == FUBINI_ODD:
         c = int(np.count_nonzero(ind[1 : horizon + 1 : 2]))
-        if c >= ideal.odd_cutoff:
+        if c >= COUNT_CUTOFF:
             return _horizon(VerdictValue.NOT_IN, horizon, f"odd-count={c}")
         return _horizon(VerdictValue.UNDECIDED, horizon, f"odd-count={c}")
     raise ValueError(ideal.kind)

@@ -158,35 +158,34 @@ def estimate_preservation(
     return merged, batches
 
 
-def dyadic_cylinder_mass(
-    stem: tuple[int, ...],
-    samples: int,
-    seed: int,
-    draw_horizon: int = 64,
-) -> McReport:
+DRAW_HORIZON = 64
+
+
+def dyadic_cylinder_mass(stem: tuple[int, ...], samples: int, seed: int) -> McReport:
     """Empirical probability that a sampled map starts with the stem.
 
-    For a stem a_1 < ... < a_j the exact mass is 2**-a_j: the draw must
-    include exactly the stem inside [1, a_j].
+    For a stem a_1 < ... < a_j the exact mass is 2**-a_j: the draw of
+    ``DRAW_HORIZON`` inclusion bits must include exactly the stem inside
+    [1, a_j].
     """
     if not stem or len(stem) > 8:
         raise ValueError("stem must have 1..8 entries")
     if any(b <= a for a, b in zip(stem, stem[1:])):
         raise ValueError("stem must increase strictly")
     top = stem[-1]
-    if draw_horizon < top:
+    if DRAW_HORIZON < top:
         raise ValueError("draw horizon below the stem bound")
     want_mask = sum(1 << (n - 1) for n in stem)
     window = (1 << top) - 1
     hits = 0
     for i in range(samples):
-        bits = sq.draw_inclusion_bits(child_seed(seed, i), draw_horizon)
+        bits = sq.draw_inclusion_bits(child_seed(seed, i), DRAW_HORIZON)
         if bits & window == want_mask:
             hits += 1
     config = {
         "stem": list(stem),
         "samples": samples,
-        "draw_horizon": draw_horizon,
+        "draw_horizon": DRAW_HORIZON,
         "seed": seed,
         "expected_mass": 2.0 ** -top,
     }

@@ -117,14 +117,14 @@ def run_config(config: dict) -> gm.Transcript:
     command = config.get("command")
     rounds = int(config["rounds"])
     if command == "game":
-        ideal = il.Ideal.from_name(config["ideal"])
+        ideal = il.Ideal(config["ideal"])
         strat_i = build("strat_i", config["strat_i"])
         strat_ii = build("strat_ii", config["strat_ii"], il.talagrand_witness(ideal))
         return gm.play_laflamme(ideal, strat_i, strat_ii, rounds, config=config)
     if command == "generic":
         mode = config["mode"]
         x = dsl.parse_seq(config["seq"])
-        ideal = il.Ideal.from_name(config["ideal"])
+        ideal = il.Ideal(config["ideal"])
         if mode == "sigma-witness":
             etas = [Fraction(e) for e in config["etas"]]
             return gm.build_subseq_witness(

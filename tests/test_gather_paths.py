@@ -118,7 +118,7 @@ def _ref_cluster(x, ideal, limit, eps):
         hits = np.abs(vals - c) <= eps
         if ideal.kind == il.FIN:
             n = int(hits.sum())
-            return il.VerdictValue.NOT_IN if n >= ideal.fin_cutoff else il.VerdictValue.IN
+            return il.VerdictValue.NOT_IN if n >= il.COUNT_CUTOFF else il.VerdictValue.IN
         expr = x.hit_set(Fraction(c) - Fraction(eps), Fraction(c) + Fraction(eps))
         if expr is not None:
             try:

@@ -3,12 +3,14 @@ takes a horizon, on every index a stem or set tail names, and on every
 index a builder searches."""
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from idealgames import (
     cli,
     convergence as cv,
+    dsl,
     games as gm,
     ideals as il,
     mc,
@@ -92,13 +94,11 @@ class TestHorizons:
     def test_partial_sums(self):
         with over_cap():
             se.partial_sums(ALT, 2000)
-        with over_cap():
-            se.ideal_bounded(ALT, il.fin(), horizon=2000)
 
     def test_horizon_equal_to_cap_passes(self):
         assert il.classify_horizon(il.fin(), sx.Tail(1), 1000).decided
         assert cv.cluster_points(ALT, il.fin(), 1000, 0.05).points == (0.0, 1.0)
-        assert len(se.partial_sums(ALT, 1000).values) == 1000
+        assert len(se.partial_sums(ALT, 1000)) == 1000
 
 
 class TestIndexSearches:
@@ -131,6 +131,13 @@ class TestIndexSearches:
         with pytest.raises(error, match=re.escape(names)):
             build()
         assert tops and max(tops) <= 1000
+
+    def test_pi_fill_searches_past_the_stem(self):
+        # Only indices 1..5 avoid the ball, and rounds 1 and 2 take them all.
+        x = dsl.parse_seq("seq([5,5,5,5,5],0)")
+        with pytest.raises(ExhaustedIndices, match=re.escape("(5, 1000]")):
+            gm.build_perm_game(x, il.density0(), gm.Ball.of(0, Fraction(1, 2)),
+                               [gm.TrivialOracle()] * 3, gm.LinearPlayerI(3), 3)
 
 
 class TestTransformIndices:
@@ -184,7 +191,7 @@ class TestSetTailCache:
         want = se.partial_sums(sq.Transformed(x, evens), 2000)
         calls = count_prefix_calls(monkeypatch)
         got = se.partial_sums(sq.Transformed(x, sq.Subseq.from_set(sx.EVENS)), 2000)
-        assert got.values == want.values
+        assert got == want
         assert 1 <= len(calls) <= 4
 
     def test_cache_takes_no_part_in_equality(self):

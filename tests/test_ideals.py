@@ -254,6 +254,10 @@ class TestInvariants:
 
     def test_defaults_validated(self):
         with pytest.raises(ValueError):
-            il.Ideal(il.DENSITY0, theta_low=0.5, theta_high=0.1)
-        with pytest.raises(ValueError):
             il.Ideal("nope")
+
+    def test_an_ideal_is_its_kind(self):
+        # The horizon thresholds are constants, so an echoed name replays.
+        with pytest.raises(TypeError):
+            il.Ideal("summable", sum_bound=1.0)
+        assert il.Ideal("summable") == il.summable()

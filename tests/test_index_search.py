@@ -13,7 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from idealgames import dsl
 from idealgames import games as gm
+from idealgames import ideals as il
 from idealgames import seqspace as sq
 from idealgames import setexpr as sx
 from idealgames.errors import ExhaustedIndices, SteeringStuck
@@ -142,10 +144,29 @@ def test_indices_below_one_are_decided_exactly():
     ]
 
 
-def test_pi_fill_skips_used_values():
-    x = sq.AlternatingPair(0, 1)
-    avoid = gm._off_ball(gm.Ball.of(1, Fraction(1, 2)))
-    assert gm._next_indices(x, avoid, 0, 4, 100, skip={1, 3, 7}) == [5, 9, 11, 13]
+def _smallest_unused_off_ball(x, ball, used, k):
+    """Brute force: the k smallest values outside ``used`` whose terms avoid
+    the ball."""
+    found, v = [], 0
+    while len(found) < k:
+        v += 1
+        if v not in used and not ball.contains(x.term(v)):
+            found.append(v)
+    return found
+
+
+@pytest.mark.parametrize("seq", ["alt(1/4,3/2)", "ratenum-signed"])
+@pytest.mark.parametrize("seed", [1, 7, 12])
+def test_pi_fill_takes_the_smallest_unused_ball_avoiding_values(seq, seed):
+    x = dsl.parse_seq(seq)
+    ball = gm.Ball.of(Fraction(1, 4), Fraction(1, 2))
+    oracles = [gm.RandomExtensionOracle(seed, k) for k in range(1, 7)]
+    t = gm.build_perm_game(x, il.density0(), ball, oracles, gm.LinearPlayerI(7), 6)
+    prev = ()
+    for r in t.rounds:
+        fill = _smallest_unused_off_ball(x, ball, set(prev), r.c - 1 - len(prev))
+        assert r.A == prev + tuple(fill)
+        prev = r.B
 
 
 class _Counted(gm.ForcingOracle):

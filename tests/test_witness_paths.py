@@ -6,6 +6,8 @@ only the upper half of the indicator.  The references are exact membership
 and the full-length int64 cumulative count those paths replaced; the pins
 fix one report per built-in ideal.
 """
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -60,13 +62,13 @@ def test_affine_schedule_indicator_matches_member(case):
     assert ind[1:].tolist() == [s.member(n) for n in range(1, limit + 1)]
 
 
-def _reference_density0(ideal, ind, horizon):
+def _reference_density0(ind, horizon):
     cum = np.cumsum(ind)
     lo = max(horizon // 2, 1)
     dhat = float((cum[lo : horizon + 1] / np.arange(lo, horizon + 1)).max())
-    if dhat < ideal.theta_low:
+    if dhat < il.THETA_LOW:
         value = il.VerdictValue.IN
-    elif dhat > ideal.theta_high:
+    elif dhat > il.THETA_HIGH:
         value = il.VerdictValue.NOT_IN
     else:
         value = il.VerdictValue.UNDECIDED
@@ -81,11 +83,12 @@ def _reference_density0(ideal, ind, horizon):
     st.sampled_from([(0.02, 0.10), (0.3, 0.5), (0.001, 0.999)]),
 )
 def test_density0_upper_half_matches_full_cumsum(horizon, seed, p, thetas):
-    ideal = il.Ideal(il.DENSITY0, theta_low=thetas[0], theta_high=thetas[1])
     ind = np.random.default_rng(seed).random(horizon + 1) < p
     ind[0] = False
-    got = il.classify_horizon_counts(ideal, ind, horizon)
-    assert got == _reference_density0(ideal, ind, horizon)
+    # Patched in the body: Hypothesis rejects function-scoped fixtures.
+    with mock.patch.multiple(il, THETA_LOW=thetas[0], THETA_HIGH=thetas[1]):
+        got = il.classify_horizon_counts(il.density0(), ind, horizon)
+        assert got == _reference_density0(ind, horizon)
 
 
 def test_density0_tiny_horizons_read_from_slot_one():
@@ -94,7 +97,7 @@ def test_density0_tiny_horizons_read_from_slot_one():
         for bits in range(2**horizon):
             ind = np.array([False] + [bool(bits >> i & 1) for i in range(horizon)])
             got = il.classify_horizon_counts(il.density0(), ind, horizon)
-            assert got == _reference_density0(il.density0(), ind, horizon)
+            assert got == _reference_density0(ind, horizon)
 
 
 def _report(kind, trials):
