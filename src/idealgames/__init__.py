@@ -43,7 +43,6 @@ from .ideals import (
     Ideal,
     MaximalIdealStub,
     SoundnessReport,
-    TalagrandWitness,
     Verdict,
     VerdictValue,
     classify,
@@ -103,7 +102,6 @@ from .setexpr import (
     interval,
     member,
     prefix,
-    register_generator,
     schedule_all,
     schedule_even,
     schedule_explicit,

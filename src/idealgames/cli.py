@@ -214,7 +214,7 @@ def _cmd_witness(args) -> int:
     )
     witness = il.talagrand_witness(ideal)
     payload = report.as_dict()
-    payload["iota_prefix"] = [witness.iota(n) for n in range(1, 9)]
+    payload["iota_prefix"] = [witness.value(n) for n in range(1, 9)]
     _emit(payload, args.out)
     return EXIT_OK if report.fraction == 1.0 else EXIT_ERROR
 

@@ -18,7 +18,9 @@ Grammar (LL(1), ASCII):
 ``isch(g)`` takes every block of generator g; ``inv`` is ``seq([],inv)``,
 ``const(c)`` is ``seq([],c)`` and ``x@t`` is x read through transform t.
 Numbers are integers, decimals (parsed exactly) or fractions 'p/q', and
-print as ``str(Fraction(v))``.
+print as ``str(Fraction(v))``.  Constructors nest at most ``MAX_DEPTH``
+deep, each ``@`` counting as one more level, so every parsed object can
+be classified, evaluated and printed without exhausting the stack.
 
 Each constructor is one row of ``_TABLES``: keyword, class, pinned fields
 and (field, kind) arguments in field order.  ``dump`` prints by the first
@@ -36,6 +38,8 @@ from . import seqspace as sq
 from . import setexpr as sx
 from .errors import DslParseError
 
+MAX_DEPTH = 200
+
 _TOKEN = re.compile(
     r"(?P<num>-?\d+(?:\.\d+)?(?:/\d+)?)|(?P<name>[A-Za-z][A-Za-z0-9_-]*)"
     r"|(?P<sym>[(){}\[\],@])|(?P<bad>\S)"
@@ -48,6 +52,7 @@ class _Lexer:
         self.tokens = [(m.lastgroup, m.group(), m.start())
                        for m in _TOKEN.finditer(text)]
         self.i = 0
+        self.depth = 0  # constructors open around the next token
         for kind, _, at in self.tokens:
             if kind == "bad":
                 self._fail("unexpected character", at)
@@ -74,6 +79,14 @@ class _Lexer:
             self._fail(f"expected {value!r}, found {tok[1]!r}", tok[2])
         self.i += 1
         return tok
+
+    def enter(self) -> None:
+        """Open one more nesting level; fail past ``MAX_DEPTH``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            tok = self.peek()
+            self._fail(f"nesting deeper than {MAX_DEPTH}",
+                       len(self.text) if tok is None else tok[2])
 
     def done(self):
         tok = self.peek()
@@ -257,6 +270,8 @@ def _read_row(lx: _Lexer, row: _Row) -> Any:
 
 
 def _read(lx: _Lexer, table: str) -> Any:
+    depth = lx.depth
+    lx.enter()
     rows = _BY_WORD[table]
     tok = lx.peek()
     if tok and tok[0] == "num" and "" in rows:
@@ -270,7 +285,9 @@ def _read(lx: _Lexer, table: str) -> Any:
     infix = rows.get("@")
     while infix and lx.at("@"):
         lx.next()
+        lx.enter()
         obj = infix.cls(obj, _KINDS[infix.args[1][1]].read(lx))
+    lx.depth = depth
     return obj
 
 

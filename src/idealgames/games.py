@@ -69,12 +69,16 @@ def blocks_size(blocks: Blocks) -> int:
 
 
 def blocks_to_setexpr(blocks: Blocks) -> sx.SetExpr:
+    """The union of the blocks as a balanced tree of ``Union`` nodes, so its
+    depth, and the recursion of everything that walks it, is about
+    log2(len(blocks))."""
     if not blocks:
         return sx.Finite(())
-    expr: sx.SetExpr = sx.interval(blocks[0][0], blocks[0][1] - 1)
-    for lo, hi in blocks[1:]:
-        expr = sx.Union(expr, sx.interval(lo, hi - 1))
-    return expr
+    exprs: list[sx.SetExpr] = [sx.interval(lo, hi - 1) for lo, hi in blocks]
+    while len(exprs) > 1:
+        pairs = [sx.Union(a, b) for a, b in zip(exprs[::2], exprs[1::2])]
+        exprs = pairs + exprs[len(pairs) * 2:]
+    return exprs[0]
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,7 @@ class TalagrandPlayerII(PlayerII):
     share one instance between threads.
     """
 
-    def __init__(self, witness: il.TalagrandWitness):
+    def __init__(self, witness: sx.Generator):
         self.witness = witness
         # Claimed block index j -> an index past j with every index between
         # them claimed too, so a search jumps whole claimed runs.
@@ -264,7 +268,7 @@ class TalagrandPlayerII(PlayerII):
 
     def __call__(self, rounds, k, c):
         self._claim(rounds)
-        j = self.witness.gen.first_index_at_least(max(c, 1))
+        j = self.witness.first_index_at_least(max(c, 1))
         jumped = []
         while j in self._claimed:
             jumped.append(j)
@@ -368,7 +372,7 @@ def _verdict(ideal, played, union, witness, judge) -> il.Verdict:
     js = _block_indices(played) if witness is not None else []
     if js:
         selector = sx.Union(sx.Finite(tuple(js)), sx.Tail(js[-1] + 1))
-        return il.classify_symbolic(ideal, sx.IntervalSchedule(witness.gen, selector))
+        return il.classify_symbolic(ideal, sx.IntervalSchedule(witness, selector))
     if judge is not None:
         return judge(union)
     return il.classify(ideal, blocks_to_setexpr(union))
@@ -381,7 +385,7 @@ def _block_indices(rounds) -> list[int]:
     )
 
 
-def talagrand_strategy(witness: il.TalagrandWitness) -> TalagrandPlayerII:
+def talagrand_strategy(witness: sx.Generator) -> TalagrandPlayerII:
     return TalagrandPlayerII(witness)
 
 
@@ -441,11 +445,11 @@ class IntervalHitOracle(DenseOpenOracle):
     """Extend the stem so one more full witness block maps into a target ball.
 
     This is the refinement the comeager sets of the theory actually provide:
-    membership in it forces the block [iota(j), iota(j+1)) of positions to
+    membership in it forces the block [value(j), value(j+1)) of positions to
     carry terms inside the ball.
     """
 
-    def __init__(self, x: sq.SeqDescriptor, ball: "Ball", witness: il.TalagrandWitness):
+    def __init__(self, x: sq.SeqDescriptor, ball: "Ball", witness: sx.Generator):
         self.x = x
         self.ball = ball
         self.witness = witness
@@ -454,7 +458,7 @@ class IntervalHitOracle(DenseOpenOracle):
         if cyl.space is not sq.Space.SIGMA:
             raise OracleViolation("interval-hit oracle refines sigma cylinders")
         stem = list(cyl.stem)
-        j = self.witness.gen.first_index_at_least(len(stem) + 1)
+        j = self.witness.first_index_at_least(len(stem) + 1)
         _steer_block(stem, self.witness.block(j), self.x, self.ball)
         return sq.Cylinder(sq.Space.SIGMA, tuple(stem))
 
@@ -632,7 +636,7 @@ def build_subseq_witness(
 ) -> Transcript:
     """Map full witness blocks of positions into shrinking balls, round-robin.
 
-    Block k of positions [iota(k), iota(k+1)) is steered entirely into the
+    Block k of positions [value(k), value(k+1)) is steered entirely into the
     ball of radius 1/m around eta for the k-th (eta, m) pair of the cycle,
     so each scheduled pair owns at least rounds/len(schedule) full blocks.
     """

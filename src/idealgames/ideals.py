@@ -125,32 +125,18 @@ class MaximalIdealStub:
 # Talagrand interval witnesses
 
 
-@dataclass(frozen=True)
-class TalagrandWitness:
-    """Interval witness of meagerness: any set containing infinitely many
-    full blocks [iota(n), iota(n+1)) lies outside the ideal."""
-
-    ideal: Ideal
-    gen: sx.Generator
-
-    def iota(self, n: int) -> int:
-        return self.gen.value(n)
-
-    def block(self, n: int) -> tuple[int, int]:
-        return (self.gen.value(n), self.gen.value(n + 1))
-
-    def full_blocks_within(self, s: sx.SetExpr, limit: int) -> int:
-        """How many full witness blocks at or below the limit s contains."""
-        ind = sx.indicator(s, limit)
-        hits = 0
-        n = 1
-        while True:
-            lo, hi = self.block(n)
-            if hi > limit + 1:
-                return hits
-            if ind[lo:hi].all():
-                hits += 1
-            n += 1
+def full_blocks_within(gen: sx.Generator, s: sx.SetExpr, limit: int) -> int:
+    """How many full blocks of gen at or below the limit s contains."""
+    ind = sx.indicator(s, limit)
+    hits = 0
+    n = 1
+    while True:
+        lo, hi = gen.block(n)
+        if hi > limit + 1:
+            return hits
+        if ind[lo:hi].all():
+            hits += 1
+        n += 1
 
 
 _WITNESS_GEN = {
@@ -161,9 +147,11 @@ _WITNESS_GEN = {
 }
 
 
-def talagrand_witness(ideal: Ideal) -> TalagrandWitness:
-    """Interval witness for a built-in ideal (all four are meager)."""
-    return TalagrandWitness(ideal, sx.generator(_WITNESS_GEN[ideal.kind]))
+def talagrand_witness(ideal: Ideal) -> sx.Generator:
+    """Interval witness of meagerness for a built-in ideal (all four are
+    meager): a set containing infinitely many full blocks
+    [value(n), value(n+1)) of the generator lies outside the ideal."""
+    return sx.generator(_WITNESS_GEN[ideal.kind])
 
 
 def _normal_form(s: sx.SetExpr) -> periodic.Periodic | None:
@@ -347,7 +335,7 @@ def classify_symbolic(ideal: Ideal, s: sx.SetExpr) -> Verdict:
     OutsideFragment is raised and the caller should fall back to
     classify_horizon.
     """
-    if _contains_infinite_witness_schedule(s, talagrand_witness(ideal).gen):
+    if _contains_infinite_witness_schedule(s, talagrand_witness(ideal)):
         return _symbolic(
             VerdictValue.NOT_IN, "contains infinitely many full witness blocks"
         )
@@ -498,7 +486,7 @@ class SoundnessReport:
 
 def witness_soundness_report(
     ideal: Ideal,
-    witness: TalagrandWitness | None = None,
+    witness: sx.Generator | None = None,
     trials: int = 100,
     seed: int = 0,
     horizon: int = 100_000,
@@ -526,7 +514,7 @@ def witness_soundness_report(
         selector: sx.SetExpr = sx.ArithProg(offset, 2)
         if extras:
             selector = sx.Union(selector, sx.Finite(extras))
-        trial_set = sx.IntervalSchedule(witness.gen, selector)
+        trial_set = sx.IntervalSchedule(witness, selector)
         verdict = classify_horizon(ideal, trial_set, horizon)
         if verdict.value is not VerdictValue.NOT_IN:
             failures.append(

@@ -204,20 +204,15 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     sel = reduce(s.selector)
     if sel is None:
         return None
-    if sel.is_finite:
-        # Finite union of concrete generator blocks, kept as ranges so the
-        # values may be astronomically large without expansion.
-        blocks = merge_blocks(
-            [(s.gen.value(j), s.gen.value(j + 1)) for j in _selected_below_threshold(sel)]
-        )
-        threshold = blocks[-1][1] if blocks else 1
-        return Periodic(1, frozenset(), threshold, blocks)
-    if sel.is_cofinite:
-        # Consecutive generator blocks tile, so the selection covers a full
+    if sel.is_finite or sel.is_cofinite:
+        # The selected blocks below the threshold, kept as ranges so the
+        # values may be astronomically large without expansion.  Past the
+        # threshold a finite selection has no blocks, and a cofinite one
+        # has every block: consecutive blocks tile, so it covers a full
         # tail of N starting at value(sel.threshold).
-        blocks = merge_blocks(
-            [(s.gen.value(j), s.gen.value(j + 1)) for j in _selected_below_threshold(sel)]
-        )
+        blocks = merge_blocks([s.gen.block(j) for j in _selected_below_threshold(sel)])
+        if sel.is_finite:
+            return Periodic(1, frozenset(), blocks[-1][1] if blocks else 1, blocks)
         return Periodic(1, frozenset({0}), s.gen.value(sel.threshold), blocks)
     if s.gen.affine is None:
         return None

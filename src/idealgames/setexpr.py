@@ -1,8 +1,9 @@
 """Symbolic algebra of decidable subsets of the positive integers.
 
 The universe is N = {1, 2, 3, ...}; 0 is excluded everywhere.  Expressions
-are immutable after construction and safe to share across threads; interval
-generators memoize their values behind a lock.
+are immutable after construction and safe to share across threads.  An
+interval generator is its formula; only the recurrence ``esum`` keeps the
+terms it has walked, behind a lock.
 """
 from __future__ import annotations
 
@@ -24,9 +25,10 @@ E_EXACT = Fraction(
 
 
 class Generator:
-    """Strictly increasing positive-integer sequence with memoized values.
+    """Strictly increasing positive-integer sequence given by its formula:
+    value(n) = fn(n).
 
-    ``affine=(a, b)`` declares the closed form value(n) = a*n + b, which the
+    ``affine=(a, b)`` declares that the formula is a*n + b, which the
     symbolic layer exploits for exact reductions.  ``min_ratio`` declares a
     sound lower bound on value(n+1)/value(n); ``interval_harmonic_lower`` a
     sound lower bound on sum(1/i for i in [value(n), value(n+1))).  A
@@ -38,51 +40,34 @@ class Generator:
     def __init__(
         self,
         name: str,
-        fn=None,
-        step=None,
-        first: int | None = None,
+        fn,
         affine: tuple[int, int] | None = None,
         min_ratio: float | None = None,
         interval_harmonic_lower: float | None = None,
     ):
-        if (fn is None) == (step is None):
-            raise ValueError("exactly one of fn/step is required")
         self.name = name
         self._fn = fn
-        self._step = step
         self.affine = affine
         self.min_ratio = min_ratio
         self.interval_harmonic_lower = interval_harmonic_lower
-        self._memo: list[int] = [] if first is None else [first]
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> int:
         """The n-th term (1-indexed)."""
         if n < 1:
             raise ValueError(f"generator index must be >= 1, got {n}")
-        if self.affine is not None:
-            a, b = self.affine
-            return a * n + b
-        if n > self.MAX_INDEX:
+        if self.affine is None and n > self.MAX_INDEX:
             raise IdealGamesError(f"generator {self.name} index {n} over cap")
-        with self._lock:
-            while len(self._memo) < n:
-                if self._fn is not None:
-                    nxt = self._fn(len(self._memo) + 1)
-                else:
-                    nxt = self._step(self._memo[-1])
-                if self._memo and nxt <= self._memo[-1]:
-                    raise IdealGamesError(
-                        f"generator {self.name} is not strictly increasing"
-                    )
-                self._memo.append(nxt)
-            return self._memo[n - 1]
+        return self._fn(n)
+
+    def block(self, n: int) -> tuple[int, int]:
+        """The n-th block [value(n), value(n+1)), as its two ends."""
+        return (self.value(n), self.value(n + 1))
 
     def values_through(self, limit: int) -> np.ndarray:
         """All terms <= limit, plus the first term beyond it, as int64.
 
         Affine generators build the array in closed form; others walk the
-        memo, and a term past the int64 range raises OverflowError.
+        terms, and a term past the int64 range raises OverflowError.
         """
         if self.affine is not None:
             a, b = self.affine
@@ -114,50 +99,40 @@ class Generator:
         return j
 
 
-_REGISTRY: dict[str, Generator] = {}
+def _esum():
+    """value(1) = 2 and value(n+1) = ceil(e * value(n)) + 1, so each block
+    [value(n), value(n+1)) carries harmonic mass >= 1.  The recurrence
+    keeps the terms it has walked, behind a lock."""
+    terms = [2]
+    lock = threading.Lock()
+
+    def fn(n: int) -> int:
+        with lock:
+            while len(terms) < n:
+                terms.append(math.ceil(E_EXACT * terms[-1]) + 1)
+            return terms[n - 1]
+
+    return fn
 
 
-def register_generator(gen: Generator) -> Generator:
-    _REGISTRY[gen.name] = gen
-    return gen
+_GENERATORS = {
+    g.name: g
+    for g in (
+        Generator("linear", lambda n: n, affine=(1, 0)),
+        Generator("pow2", lambda n: 2**n, min_ratio=2.0, interval_harmonic_lower=0.69),
+        Generator("expE", lambda n: math.ceil(E_EXACT**n), min_ratio=1.9,
+                  interval_harmonic_lower=0.64),
+        Generator("esum", _esum(), min_ratio=2.7, interval_harmonic_lower=1.0),
+        Generator("odd2", lambda n: 2 * n - 1, affine=(2, -1)),
+    )
+}
 
 
 def generator(name: str) -> Generator:
     try:
-        return _REGISTRY[name]
+        return _GENERATORS[name]
     except KeyError:
         raise IdealGamesError(f"unknown generator {name!r}") from None
-
-
-register_generator(Generator("linear", fn=lambda n: n, affine=(1, 0)))
-register_generator(
-    Generator(
-        "pow2",
-        fn=lambda n: 2**n,
-        min_ratio=2.0,
-        interval_harmonic_lower=0.69,
-    )
-)
-register_generator(
-    Generator(
-        "expE",
-        fn=lambda n: math.ceil(E_EXACT**n),
-        min_ratio=1.9,
-        interval_harmonic_lower=0.64,
-    )
-)
-# [value(n), value(n+1)) always carries harmonic mass >= 1: value(1) = 2 and
-# value(n+1) = ceil(e * value(n)) + 1.
-register_generator(
-    Generator(
-        "esum",
-        step=lambda prev: math.ceil(E_EXACT * prev) + 1,
-        first=2,
-        min_ratio=2.7,
-        interval_harmonic_lower=1.0,
-    )
-)
-register_generator(Generator("odd2", fn=lambda n: 2 * n - 1, affine=(2, -1)))
 
 
 def dsl_text(obj) -> str:

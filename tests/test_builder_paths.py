@@ -13,6 +13,7 @@ from idealgames import games as gm
 from idealgames import ideals as il
 from idealgames import replay
 from idealgames import seqspace as sq
+from idealgames import setexpr as sx
 from idealgames.errors import InvalidMove, OracleViolation
 
 ALT = sq.AlternatingPair(0, 1)
@@ -182,3 +183,31 @@ NEGATIVE_ROUNDS = {
 def test_negative_rounds_rejected(mode):
     with pytest.raises(ValueError, match="rounds must be >= 0"):
         NEGATIVE_ROUNDS[mode]()
+
+
+def test_wide_union_builds_twice_in_one_process():
+    # 300 random-oracle rounds leave 340 union blocks.  Their set expression
+    # is a balanced tree, so the reduce memo's equality test on the second
+    # build does not recurse once per block.
+    x = sq.AlternatingPair(Fraction(1, 4), Fraction(3, 2))
+    ball = gm.Ball.of(Fraction(1, 4), Fraction(1, 2))
+
+    def build():
+        oracles = [gm.RandomExtensionOracle(7, k) for k in range(1, 301)]
+        return gm.build_perm_game(x, il.density0(), ball, oracles,
+                                  gm.LinearPlayerI(10), 300)
+
+    first, second = build(), build()
+    assert len(first.union_blocks) == 340
+    assert first.to_jsonl() == second.to_jsonl()
+
+
+def test_blocks_to_setexpr_is_balanced():
+    blocks = tuple((4 * i + 1, 4 * i + 3) for i in range(1000))
+    expr = gm.blocks_to_setexpr(blocks)
+
+    def depth(e):
+        return 1 + max(depth(e.left), depth(e.right)) if isinstance(e, sx.Union) else 0
+
+    assert depth(expr) == 10  # ceil(log2(1000))
+    assert sx.prefix(expr, 4000) == [v for lo, hi in blocks for v in range(lo, hi)]

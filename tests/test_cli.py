@@ -213,6 +213,17 @@ def test_verify_empty_etas_is_an_error_line(capsys, tmp_path):
     assert capsys.readouterr().err.splitlines()[0].startswith("error:")
 
 
+def test_wide_pi_game_writes_then_verifies_in_one_process(capsys, tmp_path):
+    # The union of 340 blocks is classified when written and again, through
+    # the reduce memo, when verified.
+    path = tmp_path / "p.jsonl"
+    assert cli.main(["generic", "--mode", "pi-game", "--seq", "alt(1/4,3/2)",
+                     "--ideal", "density0", "--rounds", "300",
+                     "--oracles", "random:7", "--out", str(path)]) == 0
+    code, out = run(capsys, "verify", "--transcript", str(path))
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 class TestSeriesCommand:
     def test_steering_transcript(self, capsys, tmp_path):
         path = tmp_path / "s.jsonl"

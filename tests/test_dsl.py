@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from idealgames import dsl, seqspace as sq, setexpr as sx
+from idealgames import convergence as cv, dsl, ideals as il, seqspace as sq, setexpr as sx
 from idealgames.errors import DslParseError
 
 
@@ -134,6 +134,36 @@ class TestErrors:
         with pytest.raises(DslParseError) as err:
             dsl.parse_set("union(ap(1,2),\n  blob)")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("outer", ["union({},finite{{1}})", "compl({})"])
+    def test_nesting_bound(self, outer):
+        # MAX_DEPTH constructors, the innermost ap(1,2) counting one.
+        inner = "ap(1,2)"
+        for _ in range(dsl.MAX_DEPTH - 2):
+            inner = outer.format(inner)
+        text = outer.format(inner)
+        s = dsl.parse_set(text)
+        assert dsl.parse_set(dsl.dump(s)) == s
+        for ideal in il.BUILTINS:
+            il.classify(ideal, s)
+            il.classify(ideal, s)  # a second call meets the reduce memo
+        # piecewise(...) is one more level around its set.
+        x = dsl.parse_seq(f"piecewise({inner},n,0)")
+        assert dsl.parse_seq(dsl.dump(x)) == x
+        assert cv.cluster_points(x, il.density0(), 1000, 0.05).points == (0.0,)
+        deeper = outer.format(text)
+        with pytest.raises(DslParseError) as err:
+            dsl.parse_set(deeper)
+        assert (err.value.line, err.value.column) == (1, deeper.index("ap(1,2)") + 1)
+        with pytest.raises(DslParseError):
+            dsl.parse_seq(f"piecewise({text},n,0)")
+
+    def test_transform_chain_counts_toward_the_bound(self):
+        chain = "alt(0,1)" + "@stem[1,3]" * (dsl.MAX_DEPTH - 2)
+        x = dsl.parse_seq(chain)
+        assert dsl.parse_seq(dsl.dump(x)) == x and x.term(1) == 0
+        with pytest.raises(DslParseError, match="nesting deeper than"):
+            dsl.parse_seq(chain + "@stem[1,3]")
 
 
 # Strategies for every class the DSL names; sets reuse the shape of

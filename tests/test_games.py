@@ -95,7 +95,7 @@ class TestPlayLaflamme:
         assert t.verdict.value is il.VerdictValue.NOT_IN
         assert t.verdict.mode == "Symbolic"
         limit = max(hi for _, hi in t.union_blocks)
-        assert w.full_blocks_within(t.union_setexpr(), limit) == 20
+        assert il.full_blocks_within(w, t.union_setexpr(), limit) == 20
 
     def test_empty_strategy_loses(self):
         t = gm.play_laflamme(il.density0(), gm.LinearPlayerI(), gm.EmptyPlayerII(), 5)

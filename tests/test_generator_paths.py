@@ -10,11 +10,15 @@ reports, recorded on the code before those paths were rewritten.
 import bisect
 import hashlib
 import json
+import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from idealgames import convergence as cv
+from idealgames import dsl
 from idealgames import ideals as il
 from idealgames import seqspace as sq
 from idealgames import setexpr as sx
@@ -167,6 +171,58 @@ def test_values_through_overflow_raises():
     assert pow2.values_through(2**62 - 1)[-1] == 2**62
     with pytest.raises(OverflowError):
         pow2.values_through(2**62)
+
+
+def _exp_upper(x: Fraction) -> Fraction:
+    """A rational upper bound on e**x for 0 <= x <= 1: the Taylor sum to
+    x**80/80!, plus twice its next term for the tail."""
+    total, term = Fraction(0), Fraction(1)
+    for k in range(1, 82):
+        total += term
+        term = term * x / k
+    return total + 2 * term
+
+
+@pytest.mark.parametrize("name", GEN_NAMES)
+def test_generator_declarations_hold(name):
+    # The symbolic layer reads these declarations instead of the terms:
+    # blocks tile N from value(1), the affine form gives every block's
+    # ends, a ratio bound gives the upper density of a block's right end,
+    # and ln(value(n+1)/value(n)) bounds a block's harmonic mass from below.
+    gen = sx.generator(name)
+    vals = [gen.value(n) for n in range(1, 202)]
+    assert vals[0] >= 1
+    for n, (lo, hi) in enumerate(zip(vals, vals[1:]), start=1):
+        assert lo < hi and gen.block(n) == (lo, hi), n
+        if gen.affine is not None:
+            a, b = gen.affine
+            assert lo == a * n + b, n
+        if gen.min_ratio is not None:
+            assert Fraction(hi, lo) >= Fraction(gen.min_ratio), n
+        if gen.interval_harmonic_lower is not None:
+            mass = Fraction(gen.interval_harmonic_lower)
+            assert Fraction(hi, lo) >= _exp_upper(mass), n
+
+
+def test_exp_upper_is_tight():
+    # E_EXACT, e rounded up at its 50th decimal, exceeds e by about 4e-51.
+    assert math.e < _exp_upper(Fraction(1)) < sx.E_EXACT
+    assert _exp_upper(Fraction(0)) == 1
+
+
+@pytest.mark.parametrize("text", ["isch(pow2,{30000})", "isch(expE,{2000})"])
+def test_far_block_walks_no_earlier_terms(text):
+    # A closed-form generator computes block j alone; keeping every term
+    # below it held about 58 MB for pow2 block 30000.
+    s = dsl.parse_set(text)
+    tracemalloc.start()
+    try:
+        verdict = il.classify_symbolic(il.density0(), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict.value is il.VerdictValue.IN
+    assert peak < 4 * 2**20
 
 
 def test_subseq_from_array_stores_python_int_tuple():

@@ -88,20 +88,20 @@ class TestHorizon:
 class TestWitness:
     def test_density0_iota(self):
         w = il.talagrand_witness(il.density0())
-        assert [w.iota(n) for n in range(1, 5)] == [2, 4, 8, 16]
+        assert [w.value(n) for n in range(1, 5)] == [2, 4, 8, 16]
         # oracle: union of even-indexed blocks has dhat >= 1/3 at horizon 2^20
-        s = sx.schedule_even(w.gen)
+        s = sx.schedule_even(w)
         counts = np.cumsum(sx.indicator(s, 2**20))
         dhat = max(counts[n] / n for n in range(2**19, 2**20 + 1))
         assert dhat >= 1 / 3
 
     def test_fin_iota(self):
         w = il.talagrand_witness(il.fin())
-        assert [w.iota(n) for n in range(1, 4)] == [1, 2, 3]
+        assert [w.value(n) for n in range(1, 4)] == [1, 2, 3]
 
     def test_summable_iota_and_block_mass(self):
         w = il.talagrand_witness(il.summable())
-        assert [w.iota(n) for n in range(1, 4)] == [2, 7, 21]
+        assert [w.value(n) for n in range(1, 4)] == [2, 7, 21]
         # oracle: every block carries reciprocal mass >= 1
         for n in range(1, 10):
             lo, hi = w.block(n)
@@ -109,7 +109,7 @@ class TestWitness:
 
     def test_fubini_iota(self):
         w = il.talagrand_witness(il.fubini_odd())
-        assert [w.iota(n) for n in range(1, 5)] == [1, 3, 5, 7]
+        assert [w.value(n) for n in range(1, 5)] == [1, 3, 5, 7]
         # every block {2n-1, 2n} contains an odd number
         for n in range(1, 50):
             lo, hi = w.block(n)
@@ -117,9 +117,9 @@ class TestWitness:
 
     def test_full_blocks_within(self):
         w = il.talagrand_witness(il.density0())
-        s = sx.schedule_explicit(w.gen, (1, 2, 5))
-        assert w.full_blocks_within(s, 100) == 3
-        assert w.full_blocks_within(s, 40) == 2
+        s = sx.schedule_explicit(w, (1, 2, 5))
+        assert il.full_blocks_within(w, s, 100) == 3
+        assert il.full_blocks_within(w, s, 40) == 2
 
     def test_soundness_all_ideals(self):
         for ideal in il.BUILTINS:

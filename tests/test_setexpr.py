@@ -150,17 +150,31 @@ class TestIntervalHelper:
 
 class TestMemoizationThreadSafety:
     def test_parallel_value_queries(self):
+        import sys
         import threading
 
-        g = sx.Generator("tpow3", fn=lambda n: 3**n)
+        # esum, a recurrence, is the one generator that keeps its terms; a
+        # fresh copy makes the threads walk them together.
+        g = sx.Generator("esum", sx._esum())
+        expected = [2]
+        while len(expected) < 199:
+            expected.append(math.ceil(sx.E_EXACT * expected[-1]) + 1)
         results = []
+        start = threading.Barrier(8)
 
         def worker():
-            results.append([g.value(i) for i in range(1, 12)])
+            start.wait(timeout=60)
+            results.append([g.value(i) for i in range(1, 200)])
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert all(r == results[0] for r in results)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 8

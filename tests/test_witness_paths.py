@@ -127,7 +127,7 @@ def test_witness_reports_pinned_per_ideal():
         assert own.as_dict() == {**_report(ideal.kind, 6), "fraction": 1.0,
                                  "failures": []}
         late = il.witness_soundness_report(
-            ideal, witness=il.TalagrandWitness(ideal, LATE), trials=3, seed=13,
+            ideal, witness=LATE, trials=3, seed=13,
             horizon=100_000,
         )
         failures = [
