@@ -13,7 +13,6 @@ from .convergence import (
     hausdorff,
     limit_points,
     preserve_outcome,
-    preserves,
 )
 from .errors import (
     DslParseError,
@@ -36,7 +35,6 @@ from .games import (
     build_subseq_witness,
     play_laflamme,
     steer_series,
-    talagrand_strategy,
     validate_transcript,
 )
 from .ideals import (
@@ -75,11 +73,8 @@ from .seqspace import (
     Subseq,
     TermRule,
     Transformed,
-    cylinder_contains,
     eval_term,
-    perm_apply,
     sample_subseq,
-    subseq_apply,
 )
 from .series import (
     ideal_bounded,
@@ -96,13 +91,9 @@ from .setexpr import (
     SetExpr,
     Tail,
     Union,
-    count,
     generator,
     indicator,
     interval,
     member,
     prefix,
-    schedule_all,
-    schedule_even,
-    schedule_explicit,
 )

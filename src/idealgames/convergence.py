@@ -283,15 +283,3 @@ def preserve_outcome(
     matched = hausdorff(base.pointset.points, moved.points) <= eps
     decided = not base.pointset.undecided and not moved.undecided
     return PreserveOutcome(matched, decided, base.pointset, moved)
-
-
-def preserves(
-    kind: str,
-    x: sq.SeqDescriptor,
-    t: sq.Subseq | sq.Perm,
-    ideal: il.Ideal,
-    limit: int,
-    eps: float,
-) -> bool:
-    """True iff the transformed point set matches within Hausdorff eps."""
-    return preserve_outcome(kind, x, t, ideal, limit, eps).matched

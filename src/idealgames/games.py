@@ -127,9 +127,6 @@ class Transcript:
     space: str | None = None
     config: dict = field(default_factory=dict)
 
-    def union_setexpr(self) -> sx.SetExpr:
-        return blocks_to_setexpr(self.union_blocks)
-
     def to_jsonl(self) -> str:
         lines = [json.dumps(r.as_dict()) for r in self.rounds]
         lines.append(
@@ -293,16 +290,6 @@ class TalagrandPlayerII(PlayerII):
         self._read = (len(rounds), rounds[-1] if rounds else None)
 
 
-class ExplicitPlayerII(PlayerII):
-    """Plays a fixed list of moves; handy for tests and adversarial cases."""
-
-    def __init__(self, moves: list[Blocks]):
-        self.moves = moves
-
-    def __call__(self, rounds, k, c):
-        return Move(self.moves[k - 1] if k <= len(self.moves) else ())
-
-
 def play_laflamme(
     ideal: il.Ideal,
     strat_i: PlayerI,
@@ -383,10 +370,6 @@ def _block_indices(rounds) -> list[int]:
     return sorted(
         r.note["block_index"] for r in rounds if r.note and "block_index" in r.note
     )
-
-
-def talagrand_strategy(witness: sx.Generator) -> TalagrandPlayerII:
-    return TalagrandPlayerII(witness)
 
 
 # ---------------------------------------------------------------------------

@@ -125,20 +125,6 @@ class MaximalIdealStub:
 # Talagrand interval witnesses
 
 
-def full_blocks_within(gen: sx.Generator, s: sx.SetExpr, limit: int) -> int:
-    """How many full blocks of gen at or below the limit s contains."""
-    ind = sx.indicator(s, limit)
-    hits = 0
-    n = 1
-    while True:
-        lo, hi = gen.block(n)
-        if hi > limit + 1:
-            return hits
-        if ind[lo:hi].all():
-            hits += 1
-        n += 1
-
-
 _WITNESS_GEN = {
     FIN: "linear",
     DENSITY0: "pow2",
@@ -292,13 +278,22 @@ def _null_density(b: _Bounds) -> bool | None:
     return True if b.updens_hi == 0.0 else False if b.updens_lo > 0.0 else None
 
 
+def _size_text(n: int) -> str:
+    """``size=n``, or ``size>=2^K`` with K = n.bit_length() - 1 when n has
+    more digits than ``str`` may print (``sys.get_int_max_str_digits``)."""
+    try:
+        return f"size={n}"
+    except ValueError:
+        return f"size>=2^{n.bit_length() - 1}"
+
+
 # Ideal kind -> (fact, InIdeal evidence, NotInIdeal evidence).  The fact reads
 # a record: True in the ideal, False outside it, None when it cannot tell.
 # The evidence is formatted from the record's exact form p when it has one.
 _RULES = {
     FIN: (
         lambda b: b.finite,
-        lambda b, p: f"finite, size={p.block_count()}" if p else "finite",
+        lambda b, p: f"finite, {_size_text(p.block_count())}" if p else "finite",
         lambda b, p: f"density={p.density()}" if p else "infinite",
     ),
     DENSITY0: (

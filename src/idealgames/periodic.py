@@ -196,21 +196,18 @@ def _complement(a: Periodic) -> Periodic:
     return Periodic(a.period, residues, a.threshold, blocks)
 
 
-def _selected_below_threshold(sel: Periodic) -> list[int]:
-    return [j for lo, hi in sel.blocks for j in range(lo, hi)]
-
-
 def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     sel = reduce(s.selector)
     if sel is None:
         return None
+    # Consecutive generator blocks tile, so the blocks of a run [lo, hi) of
+    # selected indices cover [value(lo), value(hi)): two terms a run, kept
+    # as ranges so the values may be astronomically large.
     if sel.is_finite or sel.is_cofinite:
-        # The selected blocks below the threshold, kept as ranges so the
-        # values may be astronomically large without expansion.  Past the
-        # threshold a finite selection has no blocks, and a cofinite one
-        # has every block: consecutive blocks tile, so it covers a full
-        # tail of N starting at value(sel.threshold).
-        blocks = merge_blocks([s.gen.block(j) for j in _selected_below_threshold(sel)])
+        # Past the threshold a finite selection has no blocks, and a
+        # cofinite one has every block: a full tail of N starting at
+        # value(sel.threshold).
+        blocks = merge_blocks((s.gen.value(lo), s.gen.value(hi)) for lo, hi in sel.blocks)
         if sel.is_finite:
             return Periodic(1, frozenset(), blocks[-1][1] if blocks else 1, blocks)
         return Periodic(1, frozenset({0}), s.gen.value(sel.threshold), blocks)
@@ -222,12 +219,7 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
     period = a * sel.period
     residues = {(a * r + b + off) % period for r in sel.residues for off in range(a)}
     threshold = max(1, a * sel.threshold + b)
-    blocks = merge_blocks(
-        [
-            (max(1, a * j + b), a * j + a + b)
-            for j in _selected_below_threshold(sel)
-        ]
-    )
+    blocks = merge_blocks((max(1, a * lo + b), a * hi + b) for lo, hi in sel.blocks)
     return Periodic(period, frozenset(residues), threshold, blocks)
 
 

@@ -52,7 +52,7 @@ def _interval_hit(rounds, x, ball, witness) -> list:
 
 SPECS: dict[str, dict[str, _Row]] = {
     "strat_ii": {
-        "talagrand": _Row(gm.talagrand_strategy),
+        "talagrand": _Row(gm.TalagrandPlayerII),
         "empty": _Row(lambda witness: gm.EmptyPlayerII()),
     },
     "strat_i": {

@@ -468,15 +468,9 @@ class Subseq:
 
 @dataclass(frozen=True)
 class Perm:
-    """Bijection of N: a stem permuting an initial segment, identity beyond.
-
-    Checkpoints are the positions m at which the first m values are exactly
-    {1, ..., m}; the stem length is always one of them.  They are validated
-    game metadata and take no part in equality.
-    """
+    """Bijection of N: a stem permuting an initial segment, identity beyond."""
 
     stem: tuple[int, ...] = ()
-    checkpoints: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if len(set(self.stem)) != len(self.stem):
@@ -486,9 +480,6 @@ class Perm:
                 "stem must permute an initial segment so the identity tail "
                 "yields a bijection"
             )
-        for m in self.checkpoints:
-            if sorted(self.stem[:m]) != list(range(1, m + 1)):
-                raise ValueError(f"checkpoint {m} does not close the prefix")
 
     def indices(self, limit: int) -> np.ndarray:
         out = np.zeros(limit + 1, dtype=np.int64)
@@ -536,22 +527,10 @@ class Cylinder:
         return self.stem[: len(other.stem)] == other.stem
 
 
-def cylinder_contains(cyl: Cylinder, t: Subseq | Perm) -> bool:
-    """True iff the transform lies in the cylinder (matches its stem)."""
-    if isinstance(t, Subseq):
-        if cyl.space is not Space.SIGMA:
-            raise SpaceMismatch("subsequence tested against a pi cylinder")
-    elif isinstance(t, Perm):
-        if cyl.space is not Space.PI:
-            raise SpaceMismatch("permutation tested against a sigma cylinder")
-    else:
-        raise TypeError(type(t).__name__)
-    return all(t.index(i + 1) == v for i, v in enumerate(cyl.stem))
-
-
 @dataclass(frozen=True)
 class Transformed(SeqDescriptor):
-    """The sequence x composed with an index transform."""
+    """The sequence x composed with an index transform: n -> x(t(n)), a
+    subsequence of x for a Subseq and a rearrangement for a Perm."""
 
     inner: SeqDescriptor
     transform: Subseq | Perm
@@ -570,16 +549,6 @@ class Transformed(SeqDescriptor):
 
     def specials(self):
         return self.inner.specials()
-
-
-def subseq_apply(sigma: Subseq, x: SeqDescriptor) -> SeqDescriptor:
-    """The subsequence (x at sigma(n))."""
-    return Transformed(x, sigma)
-
-
-def perm_apply(pi: Perm, x: SeqDescriptor) -> SeqDescriptor:
-    """The rearrangement (x at pi(n))."""
-    return Transformed(x, pi)
 
 
 def eval_term(x: SeqDescriptor, n: int) -> Number:

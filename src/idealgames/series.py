@@ -82,5 +82,5 @@ def subseq_sums_bounded(
 ) -> il.Verdict:
     """Whether the partial sums of the subsequence are ideal-bounded."""
     return ideal_bounded(
-        partial_sums(sq.subseq_apply(sigma, x), horizon), ideal, k_max
+        partial_sums(sq.Transformed(x, sigma), horizon), ideal, k_max
     )

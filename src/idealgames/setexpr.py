@@ -89,14 +89,23 @@ class Generator:
         return None if m < self.value(1) else self.first_index_at_least(m + 1) - 1
 
     def first_index_at_least(self, bound: int) -> int:
-        """Smallest index j with value(j) >= bound."""
+        """Smallest index j with value(j) >= bound.
+
+        An affine generator solves for j.  Others double an index until its
+        term reaches the bound, then bisect, so they compute O(log j) terms.  The doubling stops at
+        ``MAX_INDEX``; a bound past value(MAX_INDEX) reads the term after
+        it, which raises.
+        """
         if self.affine is not None:
             a, b = self.affine
             return max(1, -((-(bound - b)) // a))  # ceil((bound - b) / a)
-        j = 1
-        while self.value(j) < bound:
-            j += 1
-        return j
+        lo, hi = 0, 1  # value(lo) < bound, where value(0) stands below all
+        while self.value(hi) < bound:
+            lo, hi = hi, (min(2 * hi, self.MAX_INDEX) if hi < self.MAX_INDEX else hi + 1)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if self.value(mid) < bound else (lo, mid)
+        return hi
 
 
 def _esum():
@@ -221,18 +230,6 @@ class IntervalSchedule(SetExpr):
         return j is not None and self.selector.member(j)
 
 
-def schedule_all(gen: Generator) -> IntervalSchedule:
-    return IntervalSchedule(gen, Tail(1))
-
-
-def schedule_even(gen: Generator) -> IntervalSchedule:
-    return IntervalSchedule(gen, ArithProg(2, 2))
-
-
-def schedule_explicit(gen: Generator, indices) -> IntervalSchedule:
-    return IntervalSchedule(gen, Finite(tuple(indices)))
-
-
 @dataclass(frozen=True)
 class Union(SetExpr):
     left: SetExpr
@@ -338,8 +335,3 @@ def indicator(s: SetExpr, limit: int) -> np.ndarray:
 def prefix(s: SetExpr, limit: int) -> list[int]:
     """All members <= limit, strictly increasing."""
     return np.flatnonzero(indicator(s, limit)).tolist()
-
-
-def count(s: SetExpr, limit: int) -> int:
-    """Number of members <= limit."""
-    return int(indicator(s, limit).sum())

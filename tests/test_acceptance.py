@@ -101,8 +101,8 @@ def test_criterion_05_generic_builders_preserve():
     start = time.monotonic()
     tr = gm.build_subseq_witness(x, ideal, [0, 1], 3, 12)
     sigma = sq.Subseq(tr.stem)
-    assert cv.preserves("cluster", x, sigma, ideal, HORIZON, EPS)
-    assert cv.preserves("limit", x, sigma, ideal, HORIZON, EPS)
+    assert cv.preserve_outcome("cluster", x, sigma, ideal, HORIZON, EPS).matched
+    assert cv.preserve_outcome("limit", x, sigma, ideal, HORIZON, EPS).matched
     sigma_elapsed = time.monotonic() - start
     assert sigma_elapsed < 5.0
 
@@ -114,8 +114,8 @@ def test_criterion_05_generic_builders_preserve():
     for r in tp.rounds:
         cp = r.note["checkpoint"]
         assert sorted(tp.stem[:cp]) == list(range(1, cp + 1)), r.k
-    pi = sq.Perm(tp.stem, tuple(r.note["checkpoint"] for r in tp.rounds))
-    assert cv.preserves("cluster", x, pi, ideal, HORIZON, EPS)
+    pi = sq.Perm(tp.stem)
+    assert cv.preserve_outcome("cluster", x, pi, ideal, HORIZON, EPS).matched
     pi_elapsed = time.monotonic() - start
     assert pi_elapsed < 5.0
     _ok(5, f"generic subsequence preserves cluster+limit points "

@@ -101,13 +101,13 @@ class TestInclusionChain:
 class TestPreserves:
     def test_evens_destroy_cluster_points(self):
         evens = sq.Subseq.from_set(sx.EVENS)
-        assert not cv.preserves("cluster", ALT, evens, il.density0(), 10_000, 0.05)
+        assert not cv.preserve_outcome("cluster", ALT, evens, il.density0(), 10_000, 0.05).matched
 
     def test_identity_preserves_everything(self):
         ident = sq.Subseq()
         for ideal in il.BUILTINS:
             for kind in ("cluster", "limit"):
-                assert cv.preserves(kind, ALT, ident, ideal, 10_000, 0.05)
+                assert cv.preserve_outcome(kind, ALT, ident, ideal, 10_000, 0.05).matched
 
     def test_anti_monotone_fubini_vs_fin(self):
         # decided cluster points for the Fubini ideal also appear for Fin

@@ -60,14 +60,14 @@ class TestSets:
             expr = dsl.parse_set(text)
             assert dsl.parse_set(expr.to_dsl()) == expr
         # The identity rule, constants, explicit prefixes, any isch selector,
-        # transformed sequences and fields that no label carries.
+        # transformed sequences and permutations.
         for obj in (
             sq.PiecewiseOnSet(sx.ArithProg(2, 2), sq.RULE_IDENT, sq.CONST_ZERO),
             sq.ExplicitTail((), sq.TermRule("const", 3)),
             sq.ExplicitTail((Fraction(1, 2), 3), sq.RULE_INV),
             sx.IntervalSchedule(sx.generator("pow2"), sx.ArithProg(1, 3)),
             sq.Transformed(sq.AlternatingPair(0, 1), sq.Subseq((1, 3))),
-            sq.Perm((2, 1, 3), (2, 3)),
+            sq.Perm((2, 1, 3)),
             sq.TermRule("inv", 5),
         ):
             assert _parse_back(obj) == obj
@@ -215,7 +215,7 @@ _transforms = st.one_of(
         lambda v: sq.Subseq(tuple(sorted(v)))
     ),
     _sets.map(sq.Subseq.from_set),
-    st.permutations(range(1, 7)).map(lambda p: sq.Perm(tuple(p), (len(p),))),
+    st.permutations(range(1, 7)).map(lambda p: sq.Perm(tuple(p))),
     st.just(sq.Perm()),
 )
 _base_seqs = st.one_of(

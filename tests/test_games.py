@@ -13,53 +13,64 @@ from idealgames import (
 )
 from idealgames.errors import ExhaustedIndices, InvalidMove, OracleViolation
 from idealgames.periodic import merge_blocks
+from test_ideals import full_blocks_within
 
 ALT = sq.AlternatingPair(0, 1)
 HALF_BALL = gm.Ball.of(0, Fraction(1, 2))
 
 
+class ExplicitPlayerII(gm.PlayerII):
+    """Plays a fixed list of moves, one per round, then nothing."""
+
+    def __init__(self, moves):
+        self.moves = moves
+
+    def __call__(self, rounds, k, c):
+        return gm.Move(self.moves[k - 1] if k <= len(self.moves) else ())
+
+
 class TestTalagrandStrategy:
     def test_pow2_first_move(self):
-        strat = gm.talagrand_strategy(il.talagrand_witness(il.density0()))
+        strat = gm.TalagrandPlayerII(il.talagrand_witness(il.density0()))
         assert strat((), 1, 5).blocks == ((8, 16),)
 
     def test_linear_first_move(self):
-        strat = gm.talagrand_strategy(il.talagrand_witness(il.fin()))
+        strat = gm.TalagrandPlayerII(il.talagrand_witness(il.fin()))
         assert strat((), 1, 3).blocks == ((3, 4),)
 
     def test_second_move_skips_used(self):
-        strat = gm.talagrand_strategy(il.talagrand_witness(il.density0()))
+        strat = gm.TalagrandPlayerII(il.talagrand_witness(il.density0()))
         t = gm.play_laflamme(il.density0(), gm.LinearPlayerI(100), strat, 2)
         assert t.rounds[1].F == ((256, 512),)
 
     def test_reused_instance_plays_like_fresh(self):
         for ideal in il.BUILTINS:
             w = il.talagrand_witness(ideal)
-            reused = gm.talagrand_strategy(w)
+            reused = gm.TalagrandPlayerII(w)
             games = [(gm.LinearPlayerI(100), 20), (gm.RandomJumpPlayerI(3), 30),
                      (gm.LinearPlayerI(100), 20)]
             for strat_i, rounds in games:
                 again = gm.play_laflamme(ideal, strat_i, reused, rounds)
                 fresh = gm.play_laflamme(
-                    ideal, strat_i, gm.talagrand_strategy(w), rounds
+                    ideal, strat_i, gm.TalagrandPlayerII(w), rounds
                 )
                 assert again.to_jsonl() == fresh.to_jsonl()
 
     def test_interleaved_games_on_one_instance(self):
         # Each call comes from the other game, so every call starts over.
         w = il.talagrand_witness(il.density0())
-        shared = gm.talagrand_strategy(w)
+        shared = gm.TalagrandPlayerII(w)
         played = {"a": [], "b": []}
         for k in range(1, 9):
             for name, c in (("a", 100 * k), ("b", 7 * k)):
                 rounds = tuple(played[name])
                 move = shared(rounds, k, c)
-                assert move == gm.talagrand_strategy(w)(rounds, k, c)
+                assert move == gm.TalagrandPlayerII(w)(rounds, k, c)
                 played[name].append(gm.Round(k, c, move.blocks, note=move.note))
 
     def test_smallest_unclaimed_index_out_of_order(self):
         w = il.talagrand_witness(il.fin())
-        strat = gm.talagrand_strategy(w)
+        strat = gm.TalagrandPlayerII(w)
         rounds = tuple(
             gm.Round(k, 1, (w.block(j),), note={"block_index": j})
             for k, j in enumerate((5, 3, 4, 9), start=1)
@@ -91,11 +102,11 @@ class TestPlayLaflamme:
         # oracle: the union holds 20 full pow2 witness blocks
         ideal = il.density0()
         w = il.talagrand_witness(ideal)
-        t = gm.play_laflamme(ideal, gm.LinearPlayerI(100), gm.talagrand_strategy(w), 20)
+        t = gm.play_laflamme(ideal, gm.LinearPlayerI(100), gm.TalagrandPlayerII(w), 20)
         assert t.verdict.value is il.VerdictValue.NOT_IN
         assert t.verdict.mode == "Symbolic"
         limit = max(hi for _, hi in t.union_blocks)
-        assert il.full_blocks_within(w, t.union_setexpr(), limit) == 20
+        assert full_blocks_within(w, gm.blocks_to_setexpr(t.union_blocks), limit) == 20
 
     def test_empty_strategy_loses(self):
         t = gm.play_laflamme(il.density0(), gm.LinearPlayerI(), gm.EmptyPlayerII(), 5)
@@ -106,7 +117,7 @@ class TestPlayLaflamme:
         ideal = il.fin()
         t = gm.play_laflamme(
             ideal, gm.ExponentialPlayerI(),
-            gm.talagrand_strategy(il.talagrand_witness(ideal)), 60,
+            gm.TalagrandPlayerII(il.talagrand_witness(ideal)), 60,
         )
         assert t.verdict.value is il.VerdictValue.NOT_IN
         assert gm.blocks_size(t.union_blocks) >= 60
@@ -116,21 +127,21 @@ class TestPlayLaflamme:
         assert t.verdict.value is il.VerdictValue.UNDECIDED
 
     def test_invalid_move_detected(self):
-        bad = gm.ExplicitPlayerII([((1, 3),)])  # leaves [c, oo) for c > 1
+        bad = ExplicitPlayerII([((1, 3),)])  # leaves [c, oo) for c > 1
         with pytest.raises(InvalidMove):
             gm.play_laflamme(il.fin(), gm.LinearPlayerI(100), bad, 1)
 
     def test_union_is_exact_bitlevel(self):
         moves = [((10, 12),), ((11, 15), (30, 31)), ()]
         t = gm.play_laflamme(
-            il.fin(), gm.LinearPlayerI(1), gm.ExplicitPlayerII(moves), 3
+            il.fin(), gm.LinearPlayerI(1), ExplicitPlayerII(moves), 3
         )
         assert t.union_blocks == ((10, 15), (30, 31))
         assert not gm.validate_transcript(t)
 
     def test_randomized_victories_all_ideals(self):
         for ideal in il.BUILTINS:
-            strat = gm.talagrand_strategy(il.talagrand_witness(ideal))
+            strat = gm.TalagrandPlayerII(il.talagrand_witness(ideal))
             for seed in range(10):
                 t = gm.play_laflamme(ideal, gm.RandomJumpPlayerI(seed), strat, 50)
                 assert t.verdict.value is il.VerdictValue.NOT_IN
@@ -167,8 +178,8 @@ class TestWitnessBuilder:
     def test_preservation_of_both_point_sets(self):
         tr = gm.build_subseq_witness(ALT, il.density0(), [0, 1], 3, 12)
         sigma = sq.Subseq(tr.stem)
-        assert cv.preserves("cluster", ALT, sigma, il.density0(), 10_000, 0.05)
-        assert cv.preserves("limit", ALT, sigma, il.density0(), 10_000, 0.05)
+        assert cv.preserve_outcome("cluster", ALT, sigma, il.density0(), 10_000, 0.05).matched
+        assert cv.preserve_outcome("limit", ALT, sigma, il.density0(), 10_000, 0.05).matched
 
     def test_zero_rounds(self):
         tr = gm.build_subseq_witness(ALT, il.density0(), [0, 1], 3, 0)
@@ -274,8 +285,8 @@ class TestPermBuilder:
             [gm.RandomExtensionOracle(11, k) for k in range(1, 6)],
             gm.LinearPlayerI(10), 5,
         )
-        pi = sq.Perm(tr.stem, tuple(r.note["checkpoint"] for r in tr.rounds))
-        assert cv.preserves("cluster", ALT, pi, il.density0(), 10_000, 0.05)
+        pi = sq.Perm(tr.stem)
+        assert cv.preserve_outcome("cluster", ALT, pi, il.density0(), 10_000, 0.05).matched
 
 
 class TestSteering:

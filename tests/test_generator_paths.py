@@ -11,6 +11,7 @@ import bisect
 import hashlib
 import json
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -20,9 +21,10 @@ import pytest
 from idealgames import convergence as cv
 from idealgames import dsl
 from idealgames import ideals as il
+from idealgames import periodic
 from idealgames import seqspace as sq
 from idealgames import setexpr as sx
-from idealgames.errors import HorizonTooSmall
+from idealgames.errors import HorizonTooSmall, IdealGamesError
 
 GEN_NAMES = ["linear", "pow2", "expE", "esum", "odd2"]
 WALKED = ["pow2", "expE", "esum"]
@@ -154,6 +156,78 @@ def test_index_of_adhoc_affine_and_powers_of_two():
         assert pow2.index_of(2**k) == k
 
 
+def _linear_first_index_at_least(gen, bound):
+    j = 1
+    while gen.value(j) < bound:
+        j += 1
+    return j
+
+
+def _count_values(monkeypatch) -> list[int]:
+    """The indices every ``Generator.value`` call reads from here on."""
+    calls = []
+    value = sx.Generator.value
+
+    def counted(self, n):
+        calls.append(n)
+        return value(self, n)
+
+    monkeypatch.setattr(sx.Generator, "value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", GEN_NAMES)
+def test_first_index_at_least_matches_linear_walk(name):
+    gen = sx.generator(name)
+    rng = random.Random(20)
+    bounds = [-5, 0, 1, 2, 3]
+    for _ in range(300):
+        j = rng.randint(1, 150)
+        bounds += [gen.value(j) + d for d in (-1, 0, 1)]
+        bounds.append(rng.randint(1, gen.value(j)))
+    for bound in bounds:
+        assert gen.first_index_at_least(bound) == _linear_first_index_at_least(gen, bound), bound
+
+
+def test_first_index_search_reads_logarithmically_many_terms(monkeypatch):
+    gen = sx.generator("expE")
+    calls = _count_values(monkeypatch)
+    j = gen.first_index_at_least(10**1000)
+    searched = len(calls)
+    assert gen.value(j - 1) < 10**1000 <= gen.value(j)
+    assert j == 2303 and searched <= 2 * j.bit_length() + 2
+
+
+def test_first_index_search_stops_at_max_index():
+    squares = sx.Generator("squares", lambda n: n * n)
+    top = sx.Generator.MAX_INDEX
+    assert squares.first_index_at_least(top * top) == top
+    with pytest.raises(IdealGamesError, match=f"index {top + 1} over cap"):
+        squares.first_index_at_least(top * top + 1)
+
+
+@pytest.mark.parametrize("text", [
+    "isch(pow2,compl(tail(20000)))",
+    "isch(expE,compl(tail(2000)))",
+    "isch(esum,union(compl(tail(300)),inter(tail(400),compl(tail(900)))))",
+])
+def test_schedule_normal_form_reads_two_terms_a_selector_block(monkeypatch, text):
+    # A run [lo, hi) of selected indices covers [value(lo), value(hi)); the
+    # run's inner terms are never computed.
+    s = dsl.parse_set(text)
+    runs = len(periodic.reduce(s.selector).blocks)
+    periodic.reduce.cache_clear()
+    calls = _count_values(monkeypatch)
+    assert il.classify(il.density0(), s).value is il.VerdictValue.IN
+    assert len(calls) <= 2 * runs
+
+
+def test_schedule_run_past_max_index_fails_fast():
+    s = dsl.parse_set(f"isch(pow2,compl(tail({sx.Generator.MAX_INDEX + 2})))")
+    with pytest.raises(IdealGamesError, match="over cap"):
+        periodic.reduce(s)
+
+
 def test_member_on_huge_integers():
     s = sx.IntervalSchedule(sx.generator("pow2"), sx.ArithProg(2, 2))
     # [2**j, 2**(j+1)) is selected exactly for even j.
@@ -164,7 +238,7 @@ def test_member_on_huge_integers():
 def test_values_through_overflow_raises():
     huge = sx.Generator("huge", fn=lambda n: 2 ** (40 * n))
     assert huge.values_through(10**4).tolist() == [2**40]
-    assert sx.count(sx.schedule_all(huge), 10**4) == 0
+    assert len(sx.prefix(sx.IntervalSchedule(huge, sx.Tail(1)), 10**4)) == 0
     with pytest.raises(OverflowError):
         huge.values_through(2**40)
     pow2 = sx.generator("pow2")

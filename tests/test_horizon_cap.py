@@ -58,7 +58,7 @@ class TestHorizons:
     def test_classify_without_horizon_checks_only_its_fallback(self):
         assert il.classify(il.fin(), sx.ArithProg(1, 2)).mode == "Symbolic"
         with over_cap():
-            il.classify(il.density0(), sx.Compl(sx.schedule_even(sx.generator("pow2"))))
+            il.classify(il.density0(), sx.Compl(sx.IntervalSchedule(sx.generator("pow2"), sx.EVENS)))
 
     @pytest.mark.parametrize("argv", [
         ["game", "--ideal", "fin", "--strat-ii", "empty", "--rounds", "5"],

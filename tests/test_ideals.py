@@ -27,13 +27,13 @@ class TestSymbolic:
         assert v.value is il.VerdictValue.NOT_IN
 
     def test_geometric_schedule_decided_by_bounds(self):
-        s = sx.schedule_even(sx.generator("pow2"))
+        s = sx.IntervalSchedule(sx.generator("pow2"), sx.EVENS)
         for ideal in il.BUILTINS:
             v = il.classify_symbolic(ideal, s)
             assert v.value is il.VerdictValue.NOT_IN
 
     def test_outside_fragment(self):
-        s = sx.Compl(sx.schedule_even(sx.generator("pow2")))
+        s = sx.Compl(sx.IntervalSchedule(sx.generator("pow2"), sx.EVENS))
         with pytest.raises(OutsideFragment):
             il.classify_symbolic(il.density0(), s)
 
@@ -43,6 +43,17 @@ class TestSymbolic:
         s = dsl.parse_set(f"inter(ap(1,{10**400}),compl(isch(pow2,ap(1,2))))")
         with pytest.raises(OutsideFragment):
             il.classify_symbolic(il.density0(), s)
+
+    def test_fin_size_of_a_far_finite_set(self):
+        # 2^30000 has more digits than str() prints by default.
+        cases = {
+            "isch(pow2,{3})": "finite, size=8",
+            "isch(pow2,{30000})": "finite, size>=2^30000",
+            "isch(pow2,compl(tail(20000)))": "finite, size>=2^19999",
+        }
+        for text, evidence in cases.items():
+            v = il.classify(il.fin(), dsl.parse_set(text))
+            assert (v.value, v.evidence) == (il.VerdictValue.IN, evidence), text
 
     def test_verdict_serialization(self):
         v = il.classify_symbolic(il.fin(), sx.Finite((1, 2)))
@@ -85,12 +96,26 @@ class TestHorizon:
         assert v2.value is il.VerdictValue.UNDECIDED
 
 
+def full_blocks_within(gen: sx.Generator, s: sx.SetExpr, limit: int) -> int:
+    """How many full blocks of gen at or below the limit s contains."""
+    ind = sx.indicator(s, limit)
+    hits = 0
+    n = 1
+    while True:
+        lo, hi = gen.block(n)
+        if hi > limit + 1:
+            return hits
+        if ind[lo:hi].all():
+            hits += 1
+        n += 1
+
+
 class TestWitness:
     def test_density0_iota(self):
         w = il.talagrand_witness(il.density0())
         assert [w.value(n) for n in range(1, 5)] == [2, 4, 8, 16]
         # oracle: union of even-indexed blocks has dhat >= 1/3 at horizon 2^20
-        s = sx.schedule_even(w)
+        s = sx.IntervalSchedule(w, sx.EVENS)
         counts = np.cumsum(sx.indicator(s, 2**20))
         dhat = max(counts[n] / n for n in range(2**19, 2**20 + 1))
         assert dhat >= 1 / 3
@@ -117,9 +142,9 @@ class TestWitness:
 
     def test_full_blocks_within(self):
         w = il.talagrand_witness(il.density0())
-        s = sx.schedule_explicit(w, (1, 2, 5))
-        assert il.full_blocks_within(w, s, 100) == 3
-        assert il.full_blocks_within(w, s, 40) == 2
+        s = sx.IntervalSchedule(w, sx.Finite((1, 2, 5)))
+        assert full_blocks_within(w, s, 100) == 3
+        assert full_blocks_within(w, s, 40) == 2
 
     def test_soundness_all_ideals(self):
         for ideal in il.BUILTINS:

@@ -86,7 +86,7 @@ def test_odd_part_decided_by_residues_at_any_period():
 
 def test_affine_schedule_reduces_exactly():
     # blocks of odd2 are {2n-1, 2n}; an even-indexed selection is periodic
-    s = sx.schedule_even(sx.generator("odd2"))
+    s = sx.IntervalSchedule(sx.generator("odd2"), sx.EVENS)
     p = periodic.reduce(s)
     assert p is not None
     for n in range(1, 500):
@@ -95,13 +95,13 @@ def test_affine_schedule_reduces_exactly():
 
 
 def test_geometric_schedule_not_reducible():
-    s = sx.schedule_even(sx.generator("pow2"))
+    s = sx.IntervalSchedule(sx.generator("pow2"), sx.EVENS)
     assert periodic.reduce(s) is None
 
 
 def test_explicit_schedule_blocks_stay_symbolic():
     # huge generator values must not be expanded element by element
-    s = sx.schedule_explicit(sx.generator("pow2"), (60, 62))
+    s = sx.IntervalSchedule(sx.generator("pow2"), sx.Finite((60, 62)))
     p = periodic.reduce(s)
     assert p is not None
     assert p.is_finite

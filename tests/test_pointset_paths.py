@@ -126,9 +126,9 @@ _leaf = st.one_of(
     ),
     st.integers(1, 40).map(sx.Tail),
     st.sampled_from([
-        sx.schedule_even(sx.generator("odd2")),
-        sx.schedule_explicit(sx.generator("linear"), (2, 5)),
-        sx.schedule_even(sx.generator("pow2")),  # not eventually periodic
+        sx.IntervalSchedule(sx.generator("odd2"), sx.EVENS),
+        sx.IntervalSchedule(sx.generator("linear"), sx.Finite((2, 5))),
+        sx.IntervalSchedule(sx.generator("pow2"), sx.EVENS),  # not eventually periodic
     ]),
 )
 

@@ -108,6 +108,6 @@ class TestSubseqSums:
             for k in range(1, 11)
         ]
         tr = gm.steer_series(x, lambda k: 25 * k, 10, oracles=oracles)
-        sums = se.partial_sums(sq.subseq_apply(sq.Subseq(tr.stem), x), len(tr.stem))
+        sums = se.partial_sums(sq.Transformed(x, sq.Subseq(tr.stem)), len(tr.stem))
         exceed = [n for n in range(1, len(tr.stem) + 1) if abs(sums[n - 1]) >= 1]
         assert gm.blocks_from_values(exceed) == tr.union_blocks
