@@ -249,45 +249,21 @@ class TalagrandPlayerII(PlayerII):
     makes the final verdict symbolic: a set containing infinitely many full
     witness blocks cannot lie in the ideal.
 
-    The instance keeps the block indices read from the rounds between
-    calls, so a game of R rounds reads each round once rather than R times
-    and a reused instance answers as a fresh one would.  It is not safe to
-    share one instance between threads.
+    The move is block ``j = max(first_index_at_least(max(c, 1)), last + 1)``,
+    where ``last`` is the ``block_index`` noted in the last round, or 0.
+    Player I's c never falls, so every block from the first one at or above
+    c up to ``last`` is already claimed, and j is the smallest unclaimed
+    block at or above c.
     """
 
     def __init__(self, witness: sx.Generator):
         self.witness = witness
-        # Claimed block index j -> an index past j with every index between
-        # them claimed too, so a search jumps whole claimed runs.
-        self._claimed: dict[int, int] = {}
-        # How many rounds have been read into _claimed, and the last of them.
-        self._read: tuple[int, Round | None] = (0, None)
 
     def __call__(self, rounds, k, c):
-        self._claim(rounds)
-        j = self.witness.first_index_at_least(max(c, 1))
-        jumped = []
-        while j in self._claimed:
-            jumped.append(j)
-            j = self._claimed[j]
-        for i in jumped:
-            self._claimed[i] = j
+        last = (rounds[-1].note or {}).get("block_index", 0) if rounds else 0
+        j = max(self.witness.first_index_at_least(max(c, 1)), last + 1)
         lo, hi = self.witness.block(j)
         return Move(((lo, hi),), {"block_index": j})
-
-    def _claim(self, rounds) -> None:
-        """Read the block indices of the rounds not read yet.
-
-        Rounds extend the ones read when they hold, at the same position,
-        the very ``Round`` object read last; any others (a new game) are
-        read again from the start.
-        """
-        n, last = self._read
-        if len(rounds) < n or (n and rounds[n - 1] is not last):
-            n, self._claimed = 0, {}
-        for j in _block_indices(rounds[n:]):
-            self._claimed.setdefault(j, j + 1)
-        self._read = (len(rounds), rounds[-1] if rounds else None)
 
 
 def play_laflamme(
@@ -356,20 +332,15 @@ def _verdict(ideal, played, union, witness, judge) -> il.Verdict:
     """
     if not played:
         return il.Verdict(il.VerdictValue.UNDECIDED, "Symbolic", "no rounds played")
-    js = _block_indices(played) if witness is not None else []
+    js = [] if witness is None else sorted(
+        r.note["block_index"] for r in played if r.note and "block_index" in r.note
+    )
     if js:
         selector = sx.Union(sx.Finite(tuple(js)), sx.Tail(js[-1] + 1))
         return il.classify_symbolic(ideal, sx.IntervalSchedule(witness, selector))
     if judge is not None:
         return judge(union)
     return il.classify(ideal, blocks_to_setexpr(union))
-
-
-def _block_indices(rounds) -> list[int]:
-    """Sorted witness-block indices that Player II's moves have claimed."""
-    return sorted(
-        r.note["block_index"] for r in rounds if r.note and "block_index" in r.note
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +426,6 @@ class Ball:
 
     def contains(self, v) -> bool:
         return abs(Fraction(v) - self.center) <= self.radius
-
-    def as_dict(self) -> dict:
-        return {"center": str(self.center), "radius": str(self.radius)}
 
     @classmethod
     def of(cls, center, radius) -> "Ball":

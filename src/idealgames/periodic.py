@@ -215,7 +215,11 @@ def _from_schedule(s: sx.IntervalSchedule) -> Periodic | None:
         return None
     a, b = s.gen.affine
     # Block for index j is [a*j + b, a*j + a + b): an affine image, so the
-    # union over a periodic index set is again eventually periodic.
+    # union over a periodic index set is again eventually periodic.  Its
+    # size is the residue count, not the period: a wide progression of
+    # few residues stays cheap.
+    if a * len(sel.residues) > MAX_PERIOD:
+        raise TooComplex(f"{a * len(sel.residues)} residues over cap")
     period = a * sel.period
     residues = {(a * r + b + off) % period for r in sel.residues for off in range(a)}
     threshold = max(1, a * sel.threshold + b)

@@ -14,7 +14,7 @@ import random
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -249,81 +249,69 @@ class PiecewiseOnSet(SeqDescriptor):
         return tuple(dict.fromkeys(self.on_rule.specials() + self.off_rule.specials()))
 
 
-_RATIONALS: list[Fraction] = []
-# _RATIONAL_FLOATS[i] is float(_RATIONALS[i]); slots past len(_RATIONALS)
-# are spare capacity.
-_RATIONAL_FLOATS = np.empty(0)
+# Numerators and denominators of the reduced fractions of (0,1), by
+# denominator with p ascending.  Both tables are read-only and are replaced,
+# never written, when the enumeration grows.
+_RATIONAL_NUMS = np.empty(0, dtype=np.int64)
+_RATIONAL_DENS = np.empty(0, dtype=np.int64)
 _RATIONALS_LOCK = threading.Lock()
 
 
-def _grow_rationals(n: int) -> None:
-    """Enumerate the reduced fractions of (0,1) by denominator through at
-    least n terms, into ``_RATIONALS`` and ``_RATIONAL_FLOATS``.
+def _rational_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerator and denominator tables, holding at least n terms.
 
-    The caller holds ``_RATIONALS_LOCK``.  The floats are numpy ``p / q``
-    over int64 numerators and denominators.  Both are below 2**53, so they
-    are exact as float64, and IEEE division rounds the quotient correctly:
-    each float equals ``float(Fraction(p, q))`` bit for bit.  The float
-    array grows by doubling, so growing one term at a time stays linear.
+    Growth adds whole denominators q, each as ``p = 1..q-1`` masked by
+    ``gcd(p, q) == 1``, and at least doubles the tables, so growing one
+    term at a time stays linear.
     """
-    global _RATIONAL_FLOATS
-    start = len(_RATIONALS)
-    if start >= n:
-        return
-    q = _RATIONALS[-1].denominator if _RATIONALS else 1
-    nums: list[int] = []
-    dens: list[int] = []
-    while start + len(nums) < n:
-        q += 1
-        for p in range(1, q):
-            if gcd(p, q) == 1:
-                nums.append(p)
-                dens.append(q)
-    _RATIONALS.extend(map(Fraction, nums, dens))
-    end = len(_RATIONALS)
-    if end > len(_RATIONAL_FLOATS):
-        grown = np.empty(max(end, 2 * len(_RATIONAL_FLOATS)))
-        grown[:start] = _RATIONAL_FLOATS[:start]
-        _RATIONAL_FLOATS = grown
-    _RATIONAL_FLOATS[start:end] = (
-        np.array(nums, dtype=np.int64) / np.array(dens, dtype=np.int64)
-    )
+    global _RATIONAL_NUMS, _RATIONAL_DENS
+    with _RATIONALS_LOCK:
+        nums, dens = _RATIONAL_NUMS, _RATIONAL_DENS
+        if len(nums) >= n:
+            return nums, dens
+        target = max(n, 2 * len(nums))
+        new_nums, new_dens = [nums], [dens]
+        q = int(dens[-1]) if len(dens) else 1
+        size = len(nums)
+        while size < target:
+            q += 1
+            p = np.arange(1, q, dtype=np.int64)
+            p = p[np.gcd(p, q) == 1]
+            new_nums.append(p)
+            new_dens.append(np.full(len(p), q, dtype=np.int64))
+            size += len(p)
+        nums, dens = np.concatenate(new_nums), np.concatenate(new_dens)
+        nums.flags.writeable = dens.flags.writeable = False
+        _RATIONAL_NUMS, _RATIONAL_DENS = nums, dens
+        return nums, dens
 
 
 def _rational(n: int) -> Fraction:
     """The n-th reduced fraction of (0,1), 1-indexed."""
     if n < 1:
         raise ValueError(f"sequence index must be >= 1, got {n}")
-    with _RATIONALS_LOCK:
-        _grow_rationals(n)
-        return _RATIONALS[n - 1]
-
-
-def _rational_floats(n: int) -> np.ndarray:
-    """The first n enumerated fractions as a read-only float64 view."""
-    with _RATIONALS_LOCK:
-        _grow_rationals(n)
-        out = _RATIONAL_FLOATS[:n]
-    out.flags.writeable = False
-    return out
+    nums, dens = _rational_table(n)
+    return Fraction(nums.item(n - 1), dens.item(n - 1))
 
 
 @dataclass(frozen=True)
 class RationalEnum(SeqDescriptor):
     """Every rational in (0,1) exactly once: 1/2, 1/3, 2/3, 1/4, 3/4, ...
 
-    ``term`` reads the exact Fraction; ``values`` slices the float64 array
-    kept beside it, equal to converting each Fraction (see
-    ``_grow_rationals``).
+    ``term`` builds the exact Fraction from the integer tables, and
+    ``values`` divides them in numpy.  Numerators and denominators are
+    below 2**53, so both are exact as float64 and IEEE division rounds the
+    quotient correctly: each value equals ``float(term(n))`` bit for bit.
     """
 
     def term(self, n: int) -> Fraction:
         return _rational(n)
 
     def values(self, limit: int) -> np.ndarray:
+        nums, dens = _rational_table(limit)
         out = np.empty(limit + 1)
         out[0] = np.nan
-        out[1:] = _rational_floats(limit)
+        np.divide(nums[:limit], dens[:limit], out=out[1:])
         return out
 
 
@@ -336,11 +324,12 @@ class SignedRationalEnum(SeqDescriptor):
         return q if n % 2 else -q
 
     def values(self, limit: int) -> np.ndarray:
-        qs = _rational_floats((limit + 1) // 2)
+        m = (limit + 1) // 2
+        nums, dens = _rational_table(m)
         out = np.empty(limit + 1)
         out[0] = np.nan
-        out[1::2] = qs
-        out[2::2] = -qs[: limit // 2]
+        np.divide(nums[:m], dens[:m], out=out[1::2])
+        np.negative(out[1:limit:2], out=out[2::2])
         return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -69,16 +70,18 @@ class TestTalagrandStrategy:
                 played[name].append(gm.Round(k, c, move.blocks, note=move.note))
 
     def test_smallest_unclaimed_index_out_of_order(self):
+        # The move reads only the last claim: blocks from c's first block
+        # through it are claimed whenever c never falls.
         w = il.talagrand_witness(il.fin())
         strat = gm.TalagrandPlayerII(w)
         rounds = tuple(
-            gm.Round(k, 1, (w.block(j),), note={"block_index": j})
-            for k, j in enumerate((5, 3, 4, 9), start=1)
+            gm.Round(k, c, (w.block(j),), note={"block_index": j})
+            for k, (c, j) in enumerate(((3, 3), (3, 4), (9, 9)), start=1)
         )
-        for c in (3, 4, 3):  # unplayed answers stay unclaimed
-            assert strat(rounds, 5, c).note == {"block_index": 6}
-        assert strat(rounds, 5, 1).note == {"block_index": 1}
-        assert strat(rounds, 5, 9).note == {"block_index": 10}
+        for c in (1, 3, 9, 10):
+            assert strat(rounds, 4, c).note == {"block_index": 10}
+        assert strat(rounds, 4, 12).note == {"block_index": 12}
+        assert strat((), 1, 0).note == {"block_index": 1}
 
 
 _BLOCK = st.tuples(st.integers(1, 60), st.integers(0, 12)).map(
@@ -324,6 +327,14 @@ class TestSteering:
         seen = [n for lo, hi in tr.union_blocks for n in range(lo, hi)]
         assert len(seen) == len(set(seen))
 
+    def test_forcing_oracle_restarts_on_an_unrelated_stem(self):
+        x = sq.SignedRationalEnum()
+        reused = gm.ForcingOracle(x)
+        reused.refine(sq.Cylinder(sq.Space.SIGMA, (1, 3, 5)))
+        for stem in ((2, 4), (1, 2), ()):
+            cyl = sq.Cylinder(sq.Space.SIGMA, stem)
+            assert reused.refine(cyl) == gm.ForcingOracle(x).refine(cyl)
+
     def test_monotone_schedule_required(self):
         with pytest.raises(InvalidMove):
             gm.steer_series(sq.SignedRationalEnum(), [10, 10], 2)
@@ -369,3 +380,55 @@ class TestTranscriptIO:
             t.stem, t.space, t.config,
         )
         assert replay.verify_transcript(tampered)
+
+
+_GAME = {"command": "game", "ideal": "density0", "strat_i": "linear:100",
+         "strat_ii": "talagrand", "rounds": 5}
+_SIGMA_GAME = {"command": "generic", "mode": "sigma-game", "seq": "alt(0,1)",
+               "ideal": "density0", "rounds": 6,
+               "ball": {"center": "0", "radius": "1/2"},
+               "strat_i": "linear:10", "oracles": "random:17"}
+_PI_GAME = {**_SIGMA_GAME, "mode": "pi-game", "rounds": 5, "oracles": "random:7"}
+
+
+def _with_round(t, i, **changes):
+    rounds = list(t.rounds)
+    rounds[i] = dataclasses.replace(rounds[i], **changes)
+    return dataclasses.replace(t, rounds=tuple(rounds))
+
+
+def _without_moves(t):
+    assert t.union_blocks
+    t = dataclasses.replace(t, union_blocks=())
+    for i in range(len(t.rounds)):
+        t = _with_round(t, i, F=())
+    return t
+
+
+@pytest.mark.parametrize("config, tamper, problem", [
+    (_GAME, lambda t: _with_round(t, 2, c=150), "round 3: c not monotone"),
+    (_GAME, lambda t: _with_round(t, 1, c=300), "round 2: F leaves [c, oo)"),
+    (_GAME, lambda t: dataclasses.replace(t, union_blocks=((128, 2048),)),
+     "unionF differs from the union of round moves"),
+    (_SIGMA_GAME, lambda t: _with_round(t, 0, B=t.rounds[0].B[:-1] + (99,)),
+     "round 2: A does not extend previous B"),
+    (_SIGMA_GAME, lambda t: _with_round(t, 5, B=t.rounds[5].A[:-1]),
+     "round 6: B does not extend A"),
+    (_SIGMA_GAME, lambda t: dataclasses.replace(t, stem=t.stem[:-1]),
+     "output stem does not lie in the last cylinder"),
+    (_SIGMA_GAME, lambda t: dataclasses.replace(t, stem=t.stem + t.stem[-1:]),
+     "sigma stem not strictly increasing"),
+    (_SIGMA_GAME, _without_moves, "recomputed window hit set differs from unionF"),
+    (_PI_GAME, lambda t: dataclasses.replace(t, stem=t.stem + t.stem[:1]),
+     "pi stem values not distinct"),
+    (_PI_GAME, lambda t: _with_round(t, 0, note={**t.rounds[0].note, "checkpoint": 60}),
+     "round 1: checkpoint 60 not a bijection"),
+], ids=["game-c", "game-F", "game-union", "sigma-A", "sigma-B", "sigma-stem",
+        "sigma-increasing", "sigma-window", "pi-distinct", "pi-checkpoint"])
+def test_each_structural_check_fires(config, tamper, problem):
+    t = replay.run_config(config)
+    scope = () if config is _GAME else (ALT, HALF_BALL)
+    assert not gm.validate_transcript(t, *scope)
+    tampered = tamper(t)
+    assert problem in gm.validate_transcript(tampered, *scope)
+    assert problem in replay.verify_transcript(tampered)

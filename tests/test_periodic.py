@@ -84,6 +84,18 @@ def test_odd_part_decided_by_residues_at_any_period():
     assert wide.period == 2 * big and not wide.odd_part_finite()
 
 
+def test_affine_schedule_of_many_residues_is_too_complex():
+    # compl(ap(1, 999999)) keeps 999,998 residues, so odd2's blocks over it
+    # would list about 2*10^6; the count, not the period, is refused.
+    odd2 = sx.generator("odd2")
+    many = sx.IntervalSchedule(odd2, sx.Compl(sx.ArithProg(1, 999_999)))
+    with pytest.raises(periodic.TooComplex):
+        periodic.reduce(many)
+    assert il.classify(il.density0(), many).value is il.VerdictValue.NOT_IN
+    wide = periodic.reduce(sx.IntervalSchedule(odd2, sx.ArithProg(1, 10**12)))
+    assert len(wide.residues) == 2
+
+
 def test_affine_schedule_reduces_exactly():
     # blocks of odd2 are {2n-1, 2n}; an even-indexed selection is periodic
     s = sx.IntervalSchedule(sx.generator("odd2"), sx.EVENS)

@@ -1,11 +1,12 @@
 """The two caches under the point-set hot path, against what they replace.
 
-``RationalEnum`` and ``SignedRationalEnum`` read their float values from an
-array kept beside the exact Fractions, built as numpy ``p / q``; it must
-equal ``float(Fraction(p, q))`` bit for bit.  ``periodic.reduce`` memoizes
-normal forms by expression; a memoized result must equal a fresh one, and
-``TooComplex`` must never be memoized.  The SHA-256 pins in
-``test_dispatch_paths.py`` cover the bytes of the point sets built on both.
+``RationalEnum`` and ``SignedRationalEnum`` keep one pair of integer
+tables, numerators and denominators, and divide them in numpy for their
+float values; each must equal ``float(Fraction(p, q))`` bit for bit.
+``periodic.reduce`` memoizes normal forms by expression; a memoized result
+must equal a fresh one, and ``TooComplex`` must never be memoized.  The
+SHA-256 pins in ``test_dispatch_paths.py`` cover the bytes of the point sets
+built on both.
 """
 import threading
 from fractions import Fraction
@@ -50,30 +51,40 @@ def _expected_values(limit: int, signed: bool) -> np.ndarray:
 @pytest.fixture
 def fresh_rationals(monkeypatch):
     """An empty enumeration, so growth starts from the first term."""
-    monkeypatch.setattr(sq, "_RATIONALS", [])
-    monkeypatch.setattr(sq, "_RATIONAL_FLOATS", np.empty(0))
+    monkeypatch.setattr(sq, "_RATIONAL_NUMS", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sq, "_RATIONAL_DENS", np.empty(0, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
 # Rational enumerations
 
 
+def _table_prefix(n: int) -> tuple[list[Fraction], bytes]:
+    """The first n table entries as Fractions and as float64 bytes."""
+    nums, dens = sq._rational_table(n)
+    nums, dens = nums[:n], dens[:n]
+    return list(map(Fraction, nums.tolist(), dens.tolist())), (nums / dens).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 99_999, N_MAX - 1, N_MAX])
 def test_float_array_matches_fraction_conversion(n):
-    got = sq._rational_floats(n)
-    assert got.tobytes() == REFERENCE_FLOATS[:n].tobytes()
-    assert sq._RATIONALS[:n] == REFERENCE[:n]
+    fractions, floats = _table_prefix(n)
+    assert floats == REFERENCE_FLOATS[:n].tobytes()
+    assert fractions == REFERENCE[:n]
 
 
 def test_float_array_grown_one_term_at_a_time(fresh_rationals):
     for n in range(1, 3001):
         assert sq.RationalEnum().term(n) == REFERENCE[n - 1]
-    assert sq._rational_floats(3000).tobytes() == REFERENCE_FLOATS[:3000].tobytes()
+    fractions, floats = _table_prefix(3000)
+    assert floats == REFERENCE_FLOATS[:3000].tobytes()
+    assert fractions == REFERENCE[:3000]
 
 
 def test_float_array_is_read_only():
-    with pytest.raises(ValueError):
-        sq._rational_floats(10)[0] = 0.0
+    for table in sq._rational_table(10):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 @pytest.mark.parametrize("limit", [1, 2, 9_999, 10_000, N_MAX - 1, N_MAX])
@@ -99,8 +110,8 @@ def test_two_threads_agree_with_serial(fresh_rationals):
     limits = (150_001, 60_000)
     serial = [sq.RationalEnum().values(limit).tobytes() for limit in limits]
     for _ in range(3):
-        sq._RATIONALS = []
-        sq._RATIONAL_FLOATS = np.empty(0)
+        sq._RATIONAL_NUMS = np.empty(0, dtype=np.int64)
+        sq._RATIONAL_DENS = np.empty(0, dtype=np.int64)
         results: dict[int, bytes] = {}
         start = threading.Barrier(len(limits))
 

@@ -105,6 +105,10 @@ class TestTransforms:
         with pytest.raises(ValueError):
             sq.Perm((2, 3))
 
+    def test_perm_rejects_repeated_values(self):
+        with pytest.raises(ValueError, match="distinct"):
+            sq.Perm((1, 1))
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(1, 40), min_size=1, max_size=8, unique=True))
     def test_composition_pointwise(self, raw):
@@ -130,6 +134,17 @@ class TestCylinders:
         assert not outer.extends(inner)
         with pytest.raises(SpaceMismatch):
             inner.extends(sq.Cylinder(sq.Space.PI, (2,)))
+
+    @pytest.mark.parametrize("space, stem, message", [
+        (sq.Space.SIGMA, (2, 5, 5), "strictly increasing"),
+        (sq.Space.SIGMA, (3, 2), "strictly increasing"),
+        (sq.Space.PI, (2, 1, 2), "distinct"),
+        (sq.Space.SIGMA, (0, 4), "start at 1"),
+        (sq.Space.PI, (3, 0), "start at 1"),
+    ])
+    def test_invalid_stems_rejected(self, space, stem, message):
+        with pytest.raises(ValueError, match=message):
+            sq.Cylinder(space, stem)
 
 
 class TestSampling:
