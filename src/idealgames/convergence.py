@@ -50,8 +50,12 @@ def _check_horizon(limit: int, eps: float) -> None:
 
 def _view(x: sq.SeqDescriptor, limit: int, pitch: float):
     """The sorted distinct grid codes round(x_n / pitch), n = 1..limit, and
-    ``near(c, r, s)``: the bools |x_n - c| <= r for n in the slice s of
-    0..limit, slot 0 always False.
+    ``near(c, r)``: the bools |x_n - c| <= r for n = 0..limit, slot 0 always
+    False.  r is a float or an array of one tolerance per index.
+
+    ``near`` writes into two buffers the view made once, so each call costs
+    no allocation and overwrites the bools the last call returned: read
+    them before the next call.
 
     A ``_Gathered`` sequence carries its own, gathered from a prepared x;
     any other reads x.values(limit).
@@ -68,7 +72,20 @@ def _view_of(vals: np.ndarray, pitch: float):
     printed as 0.0.
     """
     codes = np.unique(np.round(vals[1:] / pitch) + 0.0)
-    return codes, lambda c, r, s=slice(None): np.abs(vals[s] - c) <= r
+    return codes, _near(vals)
+
+
+def _near(vals: np.ndarray):
+    """The ``near`` of ``_view`` over vals, whose slot 0 is NaN."""
+    dist = np.empty_like(vals)
+    hits = np.empty(len(vals), dtype=bool)
+
+    def near(c, r):
+        np.subtract(vals, c, out=dist)
+        np.abs(dist, out=dist)
+        return np.less_equal(dist, r, out=hits)
+
+    return near
 
 
 def _point_set(x, limit, eps, verdict_at) -> PointSet:
@@ -158,19 +175,21 @@ def limit_points(
     length, and window j tolerates eps * 2**-j.  The witness set of a
     candidate collects, window by window, the indices whose terms fall
     within the window's tolerance; a single index set that both forces
-    convergence at that rate and avoids the ideal.
+    convergence at that rate and avoids the ideal.  The tolerances are one
+    array for every candidate, with slot 0 at -inf so it never hits, and a
+    witness set is one ``near`` call.
     """
     _check_horizon(limit, eps)
     if not 1 <= depth <= limit:
         raise ValueError(f"depth must lie in [1, {limit}], got {depth}")
     splits = [round(j * limit / depth) for j in range(depth + 1)]
+    tol = np.empty(limit + 1)
+    tol[0] = -np.inf
+    for j in range(1, depth + 1):
+        tol[splits[j - 1] + 1 : splits[j] + 1] = eps * 2.0**-j
 
     def witness_verdict(near, c):
-        witness = np.zeros(limit + 1, dtype=bool)
-        for j in range(1, depth + 1):
-            s = slice(splits[j - 1] + 1, splits[j] + 1)
-            witness[s] = near(c, eps * 2.0**-j, s)
-        return il.classify_horizon_counts(ideal, witness, limit).value
+        return il.classify_horizon_counts(ideal, near(c, tol), limit).value
 
     return _point_set(x, limit, eps, witness_verdict)
 
@@ -233,10 +252,9 @@ class _Prepared:
 
     def view(self, idx: np.ndarray | slice):
         """``_view`` of the sequence whose n-th term is x's term idx[n]."""
-        v = self.vals[idx]
         mark = np.zeros(len(self.codes), dtype=bool)
         mark[self.code_id[idx][1:]] = True
-        return self.codes[mark], lambda c, r, s=slice(None): np.abs(v[s] - c) <= r
+        return self.codes[mark], _near(self.vals[idx])
 
 
 class _Gathered:

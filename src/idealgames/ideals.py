@@ -370,7 +370,9 @@ def classify_horizon_counts(
     density0's dhat is the largest count(n)/n over n in [N//2, N] (n >= 1),
     so only that stretch is summed; the members below it enter as one count.
     The counts are exact integers either way, so dhat and its evidence are
-    the same as from a cumulative count over the whole indicator.
+    the same as from a cumulative count over the whole indicator.  The
+    divisors are float64: every n below 2**53 is exact in it, so the
+    quotients are the ones an integer divisor gives, without the cast.
     """
     if ideal.kind == FIN:
         c = int(np.count_nonzero(ind))
@@ -383,7 +385,7 @@ def classify_horizon_counts(
             ind[lo : horizon + 1], dtype=np.int32 if horizon < 2**31 else np.int64
         )
         counts += np.count_nonzero(ind[:lo])
-        dhat = float((counts / _arange(lo, horizon + 1)).max())
+        dhat = float((counts / _arange(lo, horizon + 1, np.float64)).max())
         if dhat < THETA_LOW:
             return _horizon(VerdictValue.IN, horizon, f"dhat={dhat:.6g}")
         if dhat > THETA_HIGH:

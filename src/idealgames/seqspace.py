@@ -250,10 +250,11 @@ class PiecewiseOnSet(SeqDescriptor):
 
 
 # Numerators and denominators of the reduced fractions of (0,1), by
-# denominator with p ascending.  Both tables are read-only and are replaced,
-# never written, when the enumeration grows.
-_RATIONAL_NUMS = np.empty(0, dtype=np.int64)
-_RATIONAL_DENS = np.empty(0, dtype=np.int64)
+# denominator with p ascending.  Both tables are read-only and are replaced
+# together, as one tuple, never written, when the enumeration grows.
+_RATIONALS: tuple[np.ndarray, np.ndarray] = (
+    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+)
 _RATIONALS_LOCK = threading.Lock()
 
 
@@ -263,12 +264,21 @@ def _rational_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     Growth adds whole denominators q, each as ``p = 1..q-1`` masked by
     ``gcd(p, q) == 1``, and at least doubles the tables, so growing one
     term at a time stays linear.
+
+    Safe to call from many threads.  A reader takes no lock: it reads the
+    one global tuple once, so it sees both tables of one generation, and
+    tables never change once published.  Only growth takes
+    ``_RATIONALS_LOCK``, so two growers do not build the same terms twice
+    and the larger tables are the ones kept.
     """
-    global _RATIONAL_NUMS, _RATIONAL_DENS
+    global _RATIONALS
+    tables = _RATIONALS
+    if len(tables[0]) >= n:
+        return tables
     with _RATIONALS_LOCK:
-        nums, dens = _RATIONAL_NUMS, _RATIONAL_DENS
+        nums, dens = _RATIONALS
         if len(nums) >= n:
-            return nums, dens
+            return _RATIONALS
         target = max(n, 2 * len(nums))
         new_nums, new_dens = [nums], [dens]
         q = int(dens[-1]) if len(dens) else 1
@@ -282,8 +292,8 @@ def _rational_table(n: int) -> tuple[np.ndarray, np.ndarray]:
             size += len(p)
         nums, dens = np.concatenate(new_nums), np.concatenate(new_dens)
         nums.flags.writeable = dens.flags.writeable = False
-        _RATIONAL_NUMS, _RATIONAL_DENS = nums, dens
-        return nums, dens
+        _RATIONALS = nums, dens
+        return _RATIONALS
 
 
 def _rational(n: int) -> Fraction:

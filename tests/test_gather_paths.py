@@ -12,6 +12,8 @@ its first outcomes, recorded on the code before the gather was written.
 """
 import hashlib
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +208,50 @@ def test_gathered_point_sets_match_direct_path(text, eps):
         assert _bits(got) == _bits(_ref_accumulation(y, LIMIT, eps))
 
 
+SQUARES = sx.Finite(tuple(k * k for k in range(1, 101)))
+LIMIT_SEQS = [
+    sq.AlternatingPair(0, 1),
+    sq.ExplicitTail((), sq.RULE_INV),
+    sq.PiecewiseOnSet(SQUARES, sq.RULE_IDENT, sq.CONST_ZERO),
+    sq.RationalEnum(),
+    sq.SignedRationalEnum(),
+]
+
+
+@pytest.mark.parametrize("x", LIMIT_SEQS, ids=lambda x: x.label()[:9])
+@pytest.mark.parametrize("limit", [100, 1001, 10_000])
+@pytest.mark.parametrize("depth", [1, 6, 7])
+def test_limit_points_match_window_by_window_witness(x, limit, depth):
+    # One tolerance array per call against a witness filled window by window.
+    for ideal in il.BUILTINS:
+        got = cv.limit_points(x, ideal, limit, 0.05, depth)
+        assert _bits(got) == _bits(_ref_limit(x, ideal, limit, 0.05, depth)), ideal.kind
+
+
+def test_interleaved_calls_on_one_x_match_separate_calls():
+    # Every view writes its hit tests into buffers of its own, so a call
+    # made between two others, on the same x or on a shared base, changes
+    # neither: each result is the reference's for that call alone.
+    x, eps = dsl.parse_seq("piecewise(ap(2,2),inv,altsign)"), 0.05
+    for ideal in il.BUILTINS:
+        preps = {kind: _prepared(kind, x, ideal, eps) for kind in _REF}
+        calls = [lambda: cv.accumulation_points(x, LIMIT, eps)]
+        want = [_ref_accumulation(x, LIMIT, eps)]
+        for kind, ref in _REF.items():
+            calls.append(lambda kind=kind: cv.point_set(kind, x, ideal, LIMIT, eps))
+            want.append(ref(x, ideal, LIMIT, eps))
+            for t in TRANSFORMS:
+                calls.append(lambda kind=kind, t=t: cv.preserve_outcome(
+                    kind, x, t, ideal, LIMIT, eps, base=preps[kind]
+                ).transformed)
+                want.append(ref(sq.Transformed(x, t), ideal, LIMIT, eps))
+        got = []
+        for i, call in enumerate(calls):
+            got.append(_bits(call()))
+            calls[7 * i % len(calls)]()
+        assert got == [_bits(w) for w in want], ideal.kind
+
+
 def test_base_prepared_for_another_call_is_refused():
     x, t = dsl.parse_seq("alt(0,1)"), TRANSFORMS[0]
     prep = _prepared("cluster", x, il.fin(), 0.05)
@@ -229,7 +275,7 @@ def test_base_prepared_for_another_call_is_refused():
 RATENUM_SHA256 = "de6aa37689a9a583f62fb5bb986ce7b6028aaf1ab932d7bfb058c0a1dfe4e5d7"
 
 
-def test_ratenum_summable_estimate_pinned():
+def _ratenum_digest() -> str:
     x, ideal, horizon, eps, seed = sq.RationalEnum(), il.summable(), 2000, 0.05, 424_242
 
     def point_set(ps):
@@ -249,4 +295,48 @@ def test_ratenum_summable_estimate_pinned():
             h.update(json.dumps(
                 [o.matched, o.decided, point_set(o.base), point_set(o.transformed)]
             ).encode())
-    assert h.hexdigest() == RATENUM_SHA256
+    return h.hexdigest()
+
+
+def test_ratenum_summable_estimate_pinned():
+    assert _ratenum_digest() == RATENUM_SHA256
+
+
+def test_ratenum_pin_holds_while_other_threads_grow_the_tables(monkeypatch):
+    # Readers of the rational tables take no lock.  With the switch interval
+    # cut to a microsecond, threads interleave inside every growth step;
+    # each must still read the enumeration's values, and the pinned
+    # estimate its bytes.
+    reference = sq.RationalEnum().values(200_000)
+    monkeypatch.setattr(sq, "_RATIONALS", (np.empty(0, np.int64), np.empty(0, np.int64)))
+    errors, digests = [], []
+
+    def grow(first):
+        for m in range(first, 200_001, 37_501):
+            if sq.RationalEnum().values(m).tobytes() != reference[: m + 1].tobytes():
+                errors.append(("values", m))
+
+    def read(seed):
+        rng = np.random.default_rng(seed)
+        for n in rng.integers(1, 200_001, 300).tolist():
+            if float(sq.RationalEnum().term(n)) != reference[n]:
+                errors.append(("term", n))
+
+    def pin():
+        digests.append(_ratenum_digest())
+
+    work = [(pin, ())] + [(grow, (i * 9_001 + 1,)) for i in range(3)]
+    work += [(read, (i,)) for i in range(3)]
+    threads = [threading.Thread(target=f, args=a) for f, a in work]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert digests == [RATENUM_SHA256]

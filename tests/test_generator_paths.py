@@ -156,11 +156,11 @@ def test_index_of_adhoc_affine_and_powers_of_two():
         assert pow2.index_of(2**k) == k
 
 
-def _linear_first_index_at_least(gen, bound):
-    j = 1
-    while gen.value(j) < bound:
-        j += 1
-    return j
+def _linear_first_index_at_least(values, bound):
+    """The first j >= 1 with value(j) >= bound, as a walk from j = 1 finds
+    it, read from the nondecreasing prefix values = [value(1), ...]."""
+    assert bound <= values[-1], "prefix too short for the walk"
+    return bisect.bisect_left(values, bound) + 1
 
 
 def _count_values(monkeypatch) -> list[int]:
@@ -185,8 +185,10 @@ def test_first_index_at_least_matches_linear_walk(name):
         j = rng.randint(1, 150)
         bounds += [gen.value(j) + d for d in (-1, 0, 1)]
         bounds.append(rng.randint(1, gen.value(j)))
+    values = [gen.value(j) for j in range(1, 152)]
+    assert values == sorted(values)
     for bound in bounds:
-        assert gen.first_index_at_least(bound) == _linear_first_index_at_least(gen, bound), bound
+        assert gen.first_index_at_least(bound) == _linear_first_index_at_least(values, bound), bound
 
 
 def test_first_index_search_reads_logarithmically_many_terms(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -149,3 +150,81 @@ def test_complement_of_a_wide_progression_is_too_complex():
     ]
     # A set of MAX_PERIOD residues takes tens of megabytes.
     assert peak < 2**21
+
+
+# ---------------------------------------------------------------------------
+# Block algebra against the sort-and-merge construction it replaced
+
+
+def _reference_rebase(p, period, threshold):
+    """Rebase by listing every block, old and new, and sorting them again."""
+    residues = frozenset(r for r in range(period) if r % p.period in p.residues)
+    blocks = list(p.blocks)
+    if threshold > p.threshold and p.residues:
+        blocks += [(n, n + 1) for n in range(p.threshold, threshold)
+                   if n % p.period in p.residues]
+    return periodic.Periodic(period, residues, threshold, periodic.merge_blocks(blocks))
+
+
+def _reference_intersection(a, b):
+    return tuple(
+        (max(a_lo, b_lo), min(a_hi, b_hi))
+        for a_lo, a_hi in a
+        for b_lo, b_hi in b
+        if max(a_lo, b_lo) < min(a_hi, b_hi)
+    )
+
+
+def _reference_combine(a, b, op):
+    period = a.period * b.period // math.gcd(a.period, b.period)
+    threshold = max(a.threshold, b.threshold)
+    ra = _reference_rebase(a, period, threshold)
+    rb = _reference_rebase(b, period, threshold)
+    if op == "union":
+        residues = ra.residues | rb.residues
+        blocks = periodic.merge_blocks(ra.blocks + rb.blocks)
+    else:
+        residues = ra.residues & rb.residues
+        blocks = _reference_intersection(ra.blocks, rb.blocks)
+    return periodic.Periodic(period, residues, threshold, blocks)
+
+
+_blocks = st.lists(st.tuples(st.integers(1, 120), st.integers(1, 12))).map(
+    lambda runs: periodic.merge_blocks((lo, lo + n) for lo, n in runs)
+)
+
+
+@st.composite
+def _forms(draw):
+    """A normal form: merged blocks below a threshold, then a residue set."""
+    blocks = draw(_blocks)
+    floor = blocks[-1][1] if blocks else 1
+    threshold = draw(st.integers(floor, floor + 30))
+    period = draw(st.integers(1, 12))
+    residues = draw(st.frozensets(st.integers(0, period - 1)))
+    return periodic.Periodic(period, residues, threshold, blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms(), st.integers(1, 6), st.integers(0, 80))
+def test_rebase_equals_sort_and_merge(p, factor, extra):
+    period, threshold = p.period * factor, p.threshold + extra
+    assert periodic._rebase(p, period, threshold) == _reference_rebase(p, period, threshold)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forms(), _forms(), st.sampled_from(["union", "inter"]))
+def test_combine_equals_sort_and_merge(a, b, op):
+    assert periodic._combine(a, b, op) == _reference_combine(a, b, op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_blocks, _blocks)
+def test_block_union_and_intersection_equal_sort_and_merge(a, b):
+    assert periodic._union_blocks(a, b) == periodic.merge_blocks(a + b)
+    assert periodic._intersect_blocks(a, b) == _reference_intersection(a, b)
+
+
+def test_rebase_to_the_same_shape_is_the_operand():
+    p = periodic.reduce(sx.Union(sx.Finite((1, 2, 9)), sx.ArithProg(12, 5)))
+    assert periodic._rebase(p, p.period, p.threshold) is p

@@ -48,11 +48,13 @@ def _expected_values(limit: int, signed: bool) -> np.ndarray:
     return np.array([np.nan] + [float(t) for t in terms])
 
 
+_EMPTY_TABLES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
 @pytest.fixture
 def fresh_rationals(monkeypatch):
     """An empty enumeration, so growth starts from the first term."""
-    monkeypatch.setattr(sq, "_RATIONAL_NUMS", np.empty(0, dtype=np.int64))
-    monkeypatch.setattr(sq, "_RATIONAL_DENS", np.empty(0, dtype=np.int64))
+    monkeypatch.setattr(sq, "_RATIONALS", _EMPTY_TABLES)
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +112,7 @@ def test_two_threads_agree_with_serial(fresh_rationals):
     limits = (150_001, 60_000)
     serial = [sq.RationalEnum().values(limit).tobytes() for limit in limits]
     for _ in range(3):
-        sq._RATIONAL_NUMS = np.empty(0, dtype=np.int64)
-        sq._RATIONAL_DENS = np.empty(0, dtype=np.int64)
+        sq._RATIONALS = _EMPTY_TABLES
         results: dict[int, bytes] = {}
         start = threading.Barrier(len(limits))
 

@@ -9,6 +9,7 @@ fix one report per built-in ideal.
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from idealgames import ideals as il
@@ -98,6 +99,24 @@ def test_density0_tiny_horizons_read_from_slot_one():
             ind = np.array([False] + [bool(bits >> i & 1) for i in range(horizon)])
             got = il.classify_horizon_counts(il.density0(), ind, horizon)
             assert got == _reference_density0(ind, horizon)
+
+
+@pytest.mark.parametrize("horizon", [10**3, 10**5])
+def test_density0_float_divisor_is_bit_exact(horizon):
+    # The counts divide by float64 indices; the quotients, and so dhat, are
+    # the bits an int64 divisor gives.
+    rng = np.random.default_rng(horizon)
+    lo = horizon // 2
+    for p in (0.0, 0.015, 0.02, 0.05, 0.1, 0.5, 1.0, *rng.random(5)):
+        ind = rng.random(horizon + 1) < p
+        ind[0] = False
+        counts = np.cumsum(ind)[lo:]
+        got = counts / il._arange(lo, horizon + 1, np.float64)
+        want = counts / np.arange(lo, horizon + 1, dtype=np.int64)
+        assert got.tobytes() == want.tobytes()
+        assert il.classify_horizon_counts(il.density0(), ind, horizon) == (
+            _reference_density0(ind, horizon)
+        )
 
 
 def _report(kind, trials):
