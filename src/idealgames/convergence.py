@@ -127,10 +127,11 @@ def _classify_hits(
     x: sq.SeqDescriptor,
     eta: float,
     eps: float,
-    hits: np.ndarray,
+    near,
     limit: int,
 ) -> il.Verdict:
-    """Verdict for the hit set of one candidate ball (slot 0 False)."""
+    """Verdict for the hit set of the eps-ball at eta, read through ``near``
+    (the hit test of ``_view``) only when the set has no symbolic verdict."""
     # Only a descriptor that overrides hit_set can name its hit set, and the
     # exact bounds cost more than the horizon count, so build them only then.
     seq = x.seq if isinstance(x, _Gathered) else x
@@ -141,7 +142,7 @@ def _classify_hits(
                 return il.classify_symbolic(ideal, expr)
             except OutsideFragment:
                 pass
-    return il.classify_horizon_counts(ideal, hits, limit)
+    return il.classify_horizon_counts(ideal, near(eta, eps), limit)
 
 
 def cluster_points(
@@ -157,7 +158,7 @@ def cluster_points(
     _check_horizon(limit, eps)
 
     def hit_verdict(near, c):
-        return _classify_hits(ideal, x, c, eps, near(c, eps), limit).value
+        return _classify_hits(ideal, x, c, eps, near, limit).value
 
     return _point_set(x, limit, eps, hit_verdict)
 

@@ -6,12 +6,12 @@ finitely often.  Classification is three-valued: a finite horizon cannot
 decide tail properties, so Undecided is a first-class outcome rather than a
 silent misclassification.
 
-``classify_symbolic`` applies its rules in order.  A set that contains
-infinitely many full blocks of the ideal's interval witness is NotInIdeal.
-Otherwise the ideal kind's row of one rule table reads the set's fact record,
-built from its periodic normal form when it has one and from sound density,
-parity and harmonic bounds when it does not.  A set the row cannot decide
-raises OutsideFragment, and ``classify`` falls back to a finite horizon.
+Each kind is one row of ``_ROWS``: its Talagrand witness, its symbolic fact
+and evidence texts, and its horizon statistic with the thresholds that read
+it.  ``classify_symbolic`` reads NotInIdeal from infinitely many full
+witness blocks, else the fact from the set's periodic normal form or sound
+bounds, and raises OutsideFragment when the fact is unknown.  ``classify``
+then falls back to ``classify_horizon``: one rule over the statistic.
 
 All classifiers are pure functions of (ideal, expression, horizon) and are
 safe to call in parallel.
@@ -20,11 +20,13 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import os
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -57,10 +59,6 @@ def _symbolic(value: VerdictValue, evidence: str) -> Verdict:
     return Verdict(value, "Symbolic", evidence)
 
 
-def _horizon(value: VerdictValue, n: int, evidence: str) -> Verdict:
-    return Verdict(value, f"Horizon({n})", evidence)
-
-
 FIN = "fin"
 DENSITY0 = "density0"
 SUMMABLE = "summable"
@@ -68,14 +66,8 @@ FUBINI_ODD = "fubini-odd"
 
 KINDS = (FIN, DENSITY0, SUMMABLE, FUBINI_ODD)
 
-# Horizon-classifier thresholds.  An ideal is its kind, so these are
-# constants of the classifier rather than fields of the ideal, and a report
-# that echoes the ideal's name replays.
-THETA_LOW = 0.02  # density0: dhat below it reads InIdeal
-THETA_HIGH = 0.10  # density0: dhat above it reads NotInIdeal
-SUM_BOUND = 4.0  # summable: a reciprocal sum above it reads NotInIdeal
-# fin's count, fubini-odd's odd count and the hit count of accumulation
-# points: a count this large reads NotInIdeal.
+# The count at which fin's member count, fubini-odd's odd-member count and
+# an accumulation candidate's hit count read NotInIdeal.
 COUNT_CUTOFF = 50
 
 
@@ -110,11 +102,12 @@ BUILTINS = (fin(), density0(), summable(), fubini_odd())
 
 
 class MaximalIdealStub:
-    """Documentation stub: maximal ideals exist but are non-constructive.
+    """Documentation stub: no non-meager ideal is concrete enough to run.
 
-    A maximal ideal would decide every subset of N, which no finite amount
-    of computation can do; the classifiers in this module therefore cover
-    the four built-in ideals only.  This class cannot be instantiated.
+    An ideal with the Baire property is meager (Talagrand 1980;
+    Jalali-Naini), so a non-meager ideal, a maximal one for instance, lacks
+    that property and is non-constructive.  The classifiers here cover the
+    four built-in ideals, all meager.  This class cannot be instantiated.
     """
 
     def __init__(self, *args, **kwargs):
@@ -122,22 +115,14 @@ class MaximalIdealStub:
 
 
 # ---------------------------------------------------------------------------
-# Talagrand interval witnesses
-
-
-_WITNESS_GEN = {
-    FIN: "linear",
-    DENSITY0: "pow2",
-    SUMMABLE: "esum",
-    FUBINI_ODD: "odd2",
-}
+# Talagrand interval witnesses and symbolic classification
 
 
 def talagrand_witness(ideal: Ideal) -> sx.Generator:
     """Interval witness of meagerness for a built-in ideal (all four are
     meager): a set containing infinitely many full blocks
     [value(n), value(n+1)) of the generator lies outside the ideal."""
-    return sx.generator(_WITNESS_GEN[ideal.kind])
+    return sx.generator(_ROWS[ideal.kind].witness)
 
 
 def _normal_form(s: sx.SetExpr) -> periodic.Periodic | None:
@@ -159,10 +144,6 @@ def _contains_infinite_witness_schedule(s: sx.SetExpr, gen: sx.Generator) -> boo
             s.left, gen
         ) or _contains_infinite_witness_schedule(s.right, gen)
     return False
-
-
-# ---------------------------------------------------------------------------
-# Symbolic classification
 
 
 @dataclass(frozen=True)
@@ -287,71 +268,32 @@ def _size_text(n: int) -> str:
         return f"size>=2^{n.bit_length() - 1}"
 
 
-# Ideal kind -> (fact, InIdeal evidence, NotInIdeal evidence).  The fact reads
-# a record: True in the ideal, False outside it, None when it cannot tell.
-# The evidence is formatted from the record's exact form p when it has one.
-_RULES = {
-    FIN: (
-        lambda b: b.finite,
-        lambda b, p: f"finite, {_size_text(p.block_count())}" if p else "finite",
-        lambda b, p: f"density={p.density()}" if p else "infinite",
-    ),
-    DENSITY0: (
-        _null_density,
-        lambda b, p: "density=0" if p else "upper density 0",
-        lambda b, p: (
-            f"density={p.density()}" if p else f"upper density >= {b.updens_lo:.6g}"
-        ),
-    ),
-    SUMMABLE: (
-        lambda b: b.converges,
-        lambda b, p: ("finite, " if p else "") + "reciprocal sum converges",
-        lambda b, p: (
-            f"contains a progression, reciprocal sum diverges (density={p.density()})"
-            if p
-            else "reciprocal sum diverges"
-        ),
-    ),
-    FUBINI_ODD: (
-        lambda b: b.odd_finite,
-        lambda b, p: "odd part finite",
-        lambda b, p: "odd part infinite",
-    ),
-}
-
 
 def classify_symbolic(ideal: Ideal, s: sx.SetExpr) -> Verdict:
     """Exact membership verdict over the decidable fragment.
 
-    The rules apply in order.  A set that contains infinitely many full
-    blocks of the ideal's interval witness is NotInIdeal.  Otherwise the
-    ideal kind's row in ``_RULES`` reads the set's fact record: its periodic
-    normal form when it has one, else its bounds.  When the row cannot tell,
-    OutsideFragment is raised and the caller should fall back to
-    classify_horizon.
+    NotInIdeal when s contains infinitely many full blocks of the ideal's
+    witness; otherwise the kind's ``fact`` reads s's fact record, and
+    OutsideFragment is raised when it cannot tell, for the caller to fall
+    back to classify_horizon.
     """
     if _contains_infinite_witness_schedule(s, talagrand_witness(ideal)):
         return _symbolic(
             VerdictValue.NOT_IN, "contains infinitely many full witness blocks"
         )
-    fact, in_ideal, not_in = _RULES[ideal.kind]
+    row = _ROWS[ideal.kind]
     b = _bounds_of(s)
-    holds = fact(b)
+    holds = row.fact(b)
     if holds is None:
         raise OutsideFragment(
             f"{s.to_dsl()} is not symbolically decidable for ideal {ideal.kind}"
         )
-    evidence = (in_ideal if holds else not_in)(b, b.exact)
+    evidence = (row.in_text if holds else row.not_in_text)(b, b.exact)
     return _symbolic(VerdictValue.IN if holds else VerdictValue.NOT_IN, evidence)
 
 
 # ---------------------------------------------------------------------------
-# Finite-horizon classification
-
-
-def _tail_reciprocal_upper(s: sx.SetExpr, horizon: int) -> float | None:
-    p = _normal_form(s)
-    return None if p is None else p.tail_reciprocal_upper(horizon)
+# The row of each ideal kind, and finite-horizon classification
 
 
 @lru_cache(maxsize=4)
@@ -362,53 +304,112 @@ def _arange(start: int, stop: int, dtype=None) -> np.ndarray:
     return out
 
 
+def _dhat(ind: np.ndarray, horizon: int) -> float:
+    """The largest count(n)/n over n in [N//2, N] (n >= 1), summed over that
+    stretch alone with the members below it as one exact count.  Every n
+    below 2**53 is exact in the float64 divisors, so dhat is the one a full
+    cumulative count and integer divisors give."""
+    lo = max(horizon // 2, 1)
+    counts = np.cumsum(
+        ind[lo : horizon + 1], dtype=np.int32 if horizon < 2**31 else np.int64
+    )
+    counts += np.count_nonzero(ind[:lo])
+    return float((counts / _arange(lo, horizon + 1, np.float64)).max())
+
+
+class _Kind(NamedTuple):
+    """What every classifier knows of one ideal kind.
+
+    A threshold is a (comparison, value) pair that reads the statistic; a
+    kind without ``in_ideal`` never reads InIdeal from its statistic alone.
+    ``tail`` bounds, from an exact form, what the statistic gains past N.
+    """
+
+    witness: str  # the generator of the kind's Talagrand interval partition
+    fact: Callable[[_Bounds], bool | None]  # True in, False out, None unknown
+    in_text: Callable[[_Bounds, periodic.Periodic | None], str]  # of (b, b.exact)
+    not_in_text: Callable[[_Bounds, periodic.Periodic | None], str]
+    stat: str  # the horizon statistic's name in the evidence
+    statistic: Callable[[np.ndarray, int], int | float]  # of (indicator, N)
+    not_in: tuple[Callable[[float, float], bool], float]
+    in_ideal: tuple[Callable[[float, float], bool], float] | None = None
+    tail: Callable[[periodic.Periodic, int], float | None] | None = None
+
+
+_ROWS = {
+    FIN: _Kind(
+        witness="linear",
+        fact=lambda b: b.finite,
+        in_text=lambda b, p: (
+            f"finite, {_size_text(p.block_count())}" if p else "finite"
+        ),
+        not_in_text=lambda b, p: f"density={p.density()}" if p else "infinite",
+        stat="count", statistic=lambda ind, n: int(np.count_nonzero(ind)),
+        not_in=(operator.ge, COUNT_CUTOFF),
+    ),
+    DENSITY0: _Kind(
+        witness="pow2",
+        fact=_null_density,
+        in_text=lambda b, p: "density=0" if p else "upper density 0",
+        not_in_text=lambda b, p: (
+            f"density={p.density()}" if p else f"upper density >= {b.updens_lo:.6g}"
+        ),
+        stat="dhat", statistic=_dhat,
+        not_in=(operator.gt, 0.10), in_ideal=(operator.lt, 0.02),
+    ),
+    SUMMABLE: _Kind(
+        witness="esum",
+        fact=lambda b: b.converges,
+        in_text=lambda b, p: ("finite, " if p else "") + "reciprocal sum converges",
+        not_in_text=lambda b, p: (
+            f"contains a progression, reciprocal sum diverges (density={p.density()})"
+            if p
+            else "reciprocal sum diverges"
+        ),
+        stat="recip-sum",
+        statistic=lambda ind, n: float(
+            (ind[1 : n + 1] / _arange(1, n + 1, np.float64)).sum()
+        ),
+        not_in=(operator.gt, 4.0),
+        tail=periodic.Periodic.tail_reciprocal_upper,
+    ),
+    FUBINI_ODD: _Kind(
+        witness="odd2",
+        fact=lambda b: b.odd_finite,
+        in_text=lambda b, p: "odd part finite",
+        not_in_text=lambda b, p: "odd part infinite",
+        stat="odd-count",
+        statistic=lambda ind, n: int(np.count_nonzero(ind[1 : n + 1 : 2])),
+        not_in=(operator.ge, COUNT_CUTOFF),
+    ),
+}
+
+
 def classify_horizon_counts(
     ideal: Ideal, ind: np.ndarray, horizon: int, tail_upper: float | None = None
 ) -> Verdict:
     """Horizon verdict from a membership indicator (slot 0 unused).
 
-    density0's dhat is the largest count(n)/n over n in [N//2, N] (n >= 1),
-    so only that stretch is summed; the members below it enter as one count.
-    The counts are exact integers either way, so dhat and its evidence are
-    the same as from a cumulative count over the whole indicator.  The
-    divisors are float64: every n below 2**53 is exact in it, so the
-    quotients are the ones an integer divisor gives, without the cast.
+    The kind's row reads its statistic: NotInIdeal past ``not_in``, else
+    InIdeal past ``in_ideal``, else InIdeal when the row has a tail
+    certificate and the statistic plus ``tail_upper`` stays below the
+    ``not_in`` value, else Undecided.  A count prints as an integer.
     """
-    if ideal.kind == FIN:
-        c = int(np.count_nonzero(ind))
-        if c >= COUNT_CUTOFF:
-            return _horizon(VerdictValue.NOT_IN, horizon, f"count={c}")
-        return _horizon(VerdictValue.UNDECIDED, horizon, f"count={c}")
-    if ideal.kind == DENSITY0:
-        lo = max(horizon // 2, 1)
-        counts = np.cumsum(
-            ind[lo : horizon + 1], dtype=np.int32 if horizon < 2**31 else np.int64
-        )
-        counts += np.count_nonzero(ind[:lo])
-        dhat = float((counts / _arange(lo, horizon + 1, np.float64)).max())
-        if dhat < THETA_LOW:
-            return _horizon(VerdictValue.IN, horizon, f"dhat={dhat:.6g}")
-        if dhat > THETA_HIGH:
-            return _horizon(VerdictValue.NOT_IN, horizon, f"dhat={dhat:.6g}")
-        return _horizon(VerdictValue.UNDECIDED, horizon, f"dhat={dhat:.6g}")
-    if ideal.kind == SUMMABLE:
-        n = _arange(1, horizon + 1, np.float64)
-        total = float((ind[1 : horizon + 1] / n).sum())
-        if total > SUM_BOUND:
-            return _horizon(VerdictValue.NOT_IN, horizon, f"recip-sum={total:.6g}")
-        if tail_upper is not None and total + tail_upper < SUM_BOUND:
-            return _horizon(
-                VerdictValue.IN,
-                horizon,
-                f"recip-sum={total:.6g}, certified tail<={tail_upper:.6g}",
-            )
-        return _horizon(VerdictValue.UNDECIDED, horizon, f"recip-sum={total:.6g}")
-    if ideal.kind == FUBINI_ODD:
-        c = int(np.count_nonzero(ind[1 : horizon + 1 : 2]))
-        if c >= COUNT_CUTOFF:
-            return _horizon(VerdictValue.NOT_IN, horizon, f"odd-count={c}")
-        return _horizon(VerdictValue.UNDECIDED, horizon, f"odd-count={c}")
-    raise ValueError(ideal.kind)
+    row = _ROWS[ideal.kind]
+    value = row.statistic(ind, horizon)
+    shown = value if isinstance(value, int) else f"{value:.6g}"
+    evidence = f"{row.stat}={shown}"
+    beyond, bound = row.not_in
+    if beyond(value, bound):
+        verdict = VerdictValue.NOT_IN
+    elif row.in_ideal is not None and row.in_ideal[0](value, row.in_ideal[1]):
+        verdict = VerdictValue.IN
+    elif row.tail is not None and tail_upper is not None and value + tail_upper < bound:
+        verdict = VerdictValue.IN
+        evidence += f", certified tail<={tail_upper:.6g}"
+    else:
+        verdict = VerdictValue.UNDECIDED
+    return Verdict(verdict, f"Horizon({horizon})", evidence)
 
 
 def horizon_cap() -> int:
@@ -434,12 +435,15 @@ def check_horizon(horizon: int, floor: int | None = 100) -> None:
 
 
 def classify_horizon(ideal: Ideal, s: sx.SetExpr, horizon: int) -> Verdict:
-    """Finite-horizon membership verdict; honest Undecided when unsure."""
+    """Finite-horizon membership verdict; honest Undecided when unsure.
+
+    A kind with a tail certificate reads it from s's periodic normal form.
+    """
     check_horizon(horizon)
     ind = sx.indicator(s, horizon)
-    tail_upper = None
-    if ideal.kind == SUMMABLE:
-        tail_upper = _tail_reciprocal_upper(s, horizon)
+    tail = _ROWS[ideal.kind].tail
+    p = _normal_form(s) if tail is not None else None
+    tail_upper = None if p is None else tail(p, horizon)
     return classify_horizon_counts(ideal, ind, horizon, tail_upper)
 
 
@@ -471,14 +475,7 @@ class SoundnessReport:
     failures: tuple[dict, ...] = field(default_factory=tuple)
 
     def as_dict(self) -> dict:
-        return {
-            "ideal": self.ideal,
-            "trials": self.trials,
-            "horizon": self.horizon,
-            "seed": self.seed,
-            "fraction": self.fraction,
-            "failures": list(self.failures),
-        }
+        return {**asdict(self), "failures": list(self.failures)}
 
 
 def witness_soundness_report(

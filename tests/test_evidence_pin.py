@@ -1,11 +1,12 @@
-"""Pin the bytes of every symbolic verdict over a seeded corpus.
+"""Pin the bytes of every symbolic and horizon verdict over a seeded corpus.
 
 Each built-in ideal classifies a few thousand seeded expressions: Finite,
 ArithProg (some with a step above ``periodic.MAX_PERIOD``), Tail and interval
 schedules over every generator, combined by union, intersection and
 complement to depth 3.  The digest covers (dsl, ideal, value, mode,
 evidence) of each call, with OutsideFragment recorded as such, so any
-change to a verdict or to one byte of its evidence shows here.
+change to a verdict or to one byte of its evidence shows here.  The horizon
+pin classifies a prefix of the same corpus at a fixed horizon.
 """
 import hashlib
 import random
@@ -49,14 +50,14 @@ def _expr(rng: random.Random, depth: int) -> sx.SetExpr:
     return sx.Compl(_expr(rng, depth - 1))
 
 
-def _verdict_lines(seed: int, count: int) -> list[str]:
+def _verdict_lines(seed: int, count: int, classify=il.classify_symbolic) -> list[str]:
     rng = random.Random(seed)
     lines = []
     for _ in range(count):
         s = _expr(rng, 3)
         for ideal in il.BUILTINS:
             try:
-                v = il.classify_symbolic(ideal, s)
+                v = classify(ideal, s)
                 row = (v.value.value, v.mode, v.evidence)
             except OutsideFragment:
                 row = ("OutsideFragment",)
@@ -64,10 +65,15 @@ def _verdict_lines(seed: int, count: int) -> list[str]:
     return lines
 
 
+def _forms(lines: list[str]) -> set[str]:
+    """The (value, mode, evidence) of each line with its numbers as #."""
+    return {re.sub(r"\d[\d./e+-]*", "#", line.split("\t", 2)[2]) for line in lines}
+
+
 def test_symbolic_evidence_bytes_pinned():
     lines = _verdict_lines(seed=14, count=3000)
     # The corpus reaches every evidence form, exact and bounds alike.
-    forms = {re.sub(r"\d[\d./e+-]*", "#", line.split("\t", 2)[2]) for line in lines}
+    forms = _forms(lines)
     for needed in (
         "InIdeal\tSymbolic\tfinite",
         "InIdeal\tSymbolic\tfinite, size=#",
@@ -90,4 +96,30 @@ def test_symbolic_evidence_bytes_pinned():
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
         "3d6217d5878f9324c5826ef78fe61870d53f4d08b131022c0aad03322a7ba318"
+    )
+
+
+def test_horizon_evidence_bytes_pinned():
+    lines = _verdict_lines(
+        seed=14, count=600, classify=lambda ideal, s: il.classify_horizon(ideal, s, 2000)
+    )
+    # Every horizon statistic reads every verdict its ideal can give.
+    forms = _forms(lines)
+    for needed in (
+        "Undecided\tHorizon(#)\tcount=#",
+        "NotInIdeal\tHorizon(#)\tcount=#",
+        "InIdeal\tHorizon(#)\tdhat=#",
+        "Undecided\tHorizon(#)\tdhat=#",
+        "NotInIdeal\tHorizon(#)\tdhat=#",
+        "InIdeal\tHorizon(#)\trecip-sum=#, certified tail<=#",
+        "Undecided\tHorizon(#)\trecip-sum=#",
+        "NotInIdeal\tHorizon(#)\trecip-sum=#",
+        "Undecided\tHorizon(#)\todd-count=#",
+        "NotInIdeal\tHorizon(#)\todd-count=#",
+    ):
+        assert needed in forms, needed
+    assert len(forms) == 10, forms
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "56c2676a80eb0e82c4943f361a2d5249be23a4fd2d0c5daa49c6de3945da8b7e"
     )

@@ -96,6 +96,53 @@ class TestHorizon:
         assert v2.value is il.VerdictValue.UNDECIDED
 
 
+def _members(horizon: int, *members: int) -> np.ndarray:
+    ind = np.zeros(horizon + 1, dtype=bool)
+    ind[list(members)] = True
+    return ind
+
+
+def _counts(ideal, ind, horizon, tail_upper=None):
+    v = il.classify_horizon_counts(ideal, ind, horizon, tail_upper)
+    assert v.mode == f"Horizon({horizon})"
+    return v.value, v.evidence
+
+
+class TestHorizonBoundaries:
+    """Each threshold is strict on the side the docs state."""
+
+    def test_dhat_on_either_threshold_is_undecided(self):
+        assert _counts(il.density0(), _members(100, 50), 100) == (
+            il.VerdictValue.UNDECIDED, "dhat=0.02")
+        assert _counts(il.density0(), _members(100, 1, 2, 3, 4, 50), 100) == (
+            il.VerdictValue.UNDECIDED, "dhat=0.1")
+
+    @pytest.mark.parametrize("ideal, stat", [(il.fin(), "count"),
+                                             (il.fubini_odd(), "odd-count")])
+    def test_counts_read_not_in_from_the_cutoff(self, ideal, stat):
+        odds = range(1, 2 * il.COUNT_CUTOFF, 2)
+        below = _members(1000, *odds[:-1])
+        assert _counts(ideal, below, 1000) == (
+            il.VerdictValue.UNDECIDED, f"{stat}={il.COUNT_CUTOFF - 1}")
+        assert _counts(ideal, _members(1000, *odds), 1000) == (
+            il.VerdictValue.NOT_IN, f"{stat}={il.COUNT_CUTOFF}")
+
+    def test_certified_tail_must_end_below_the_bound(self):
+        ind = _members(100, 1, 2)  # recip-sum = 1.5
+        assert _counts(il.summable(), ind, 100, 2.5) == (
+            il.VerdictValue.UNDECIDED, "recip-sum=1.5")
+        assert _counts(il.summable(), ind, 100, 2.4) == (
+            il.VerdictValue.IN, "recip-sum=1.5, certified tail<=2.4")
+
+    def test_integer_statistics_print_as_integers(self):
+        ind = np.ones(10**6 + 1, dtype=bool)
+        ind[0] = False
+        assert _counts(il.fin(), ind, 10**6) == (
+            il.VerdictValue.NOT_IN, "count=1000000")
+        assert _counts(il.fubini_odd(), ind, 10**6) == (
+            il.VerdictValue.NOT_IN, "odd-count=500000")
+
+
 def full_blocks_within(gen: sx.Generator, s: sx.SetExpr, limit: int) -> int:
     """How many full blocks of gen at or below the limit s contains."""
     ind = sx.indicator(s, limit)

@@ -67,9 +67,10 @@ def _reference_density0(ind, horizon):
     cum = np.cumsum(ind)
     lo = max(horizon // 2, 1)
     dhat = float((cum[lo : horizon + 1] / np.arange(lo, horizon + 1)).max())
-    if dhat < il.THETA_LOW:
+    row = il._ROWS[il.DENSITY0]
+    if dhat < row.in_ideal[1]:
         value = il.VerdictValue.IN
-    elif dhat > il.THETA_HIGH:
+    elif dhat > row.not_in[1]:
         value = il.VerdictValue.NOT_IN
     else:
         value = il.VerdictValue.UNDECIDED
@@ -86,8 +87,11 @@ def _reference_density0(ind, horizon):
 def test_density0_upper_half_matches_full_cumsum(horizon, seed, p, thetas):
     ind = np.random.default_rng(seed).random(horizon + 1) < p
     ind[0] = False
+    row = il._ROWS[il.DENSITY0]
+    row = row._replace(in_ideal=(row.in_ideal[0], thetas[0]),
+                       not_in=(row.not_in[0], thetas[1]))
     # Patched in the body: Hypothesis rejects function-scoped fixtures.
-    with mock.patch.multiple(il, THETA_LOW=thetas[0], THETA_HIGH=thetas[1]):
+    with mock.patch.dict(il._ROWS, {il.DENSITY0: row}):
         got = il.classify_horizon_counts(il.density0(), ind, horizon)
         assert got == _reference_density0(ind, horizon)
 
