@@ -132,16 +132,15 @@ def _classify_hits(
 ) -> il.Verdict:
     """Verdict for the hit set of the eps-ball at eta, read through ``near``
     (the hit test of ``_view``) only when the set has no symbolic verdict."""
-    # Only a descriptor that overrides hit_set can name its hit set, and the
-    # exact bounds cost more than the horizon count, so build them only then.
     seq = x.seq if isinstance(x, _Gathered) else x
-    if type(seq).hit_set is not sq.SeqDescriptor.hit_set:
-        expr = seq.hit_set(Fraction(eta) - Fraction(eps), Fraction(eta) + Fraction(eps))
-        if expr is not None:
-            try:
-                return il.classify_symbolic(ideal, expr)
-            except OutsideFragment:
-                pass
+    # eta - eps and eta + eps, exact: integer ratios cost less than Fraction arithmetic.
+    (p, q), (r, s) = eta.as_integer_ratio(), eps.as_integer_ratio()
+    expr = seq.hit_set(Fraction(p * s - r * q, q * s), Fraction(p * s + r * q, q * s))
+    if expr is not None:
+        try:
+            return il.classify_symbolic(ideal, expr)
+        except OutsideFragment:
+            pass
     return il.classify_horizon_counts(ideal, near(eta, eps), limit)
 
 

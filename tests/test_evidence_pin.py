@@ -95,7 +95,7 @@ def test_symbolic_evidence_bytes_pinned():
         assert needed in forms, needed
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "3d6217d5878f9324c5826ef78fe61870d53f4d08b131022c0aad03322a7ba318"
+        "7c1385f92cf7df65037777de277ab6c45ae7cdc43817757e10dc52903e1ced39"
     )
 
 
@@ -121,5 +121,5 @@ def test_horizon_evidence_bytes_pinned():
     assert len(forms) == 10, forms
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == (
-        "56c2676a80eb0e82c4943f361a2d5249be23a4fd2d0c5daa49c6de3945da8b7e"
+        "a31f9032cfbfb0c9ac45c09a290195c0c8e10c33b1e7d447fc4e3ef964052bc9"
     )

@@ -217,7 +217,7 @@ def test_schedule_normal_form_reads_two_terms_a_selector_block(monkeypatch, text
     # A run [lo, hi) of selected indices covers [value(lo), value(hi)); the
     # run's inner terms are never computed.
     s = dsl.parse_set(text)
-    runs = len(periodic.reduce(s.selector).blocks)
+    runs = len(periodic.reduce(s.selector).runs())
     periodic.reduce.cache_clear()
     calls = _count_values(monkeypatch)
     assert il.classify(il.density0(), s).value is il.VerdictValue.IN

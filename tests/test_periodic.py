@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealgames import ideals as il, periodic, setexpr as sx
+from idealgames import dsl, ideals as il, periodic, setexpr as sx
 
 _leaf = st.one_of(
     st.lists(st.integers(1, 60), max_size=4).map(lambda v: sx.Finite(tuple(v))),
@@ -75,10 +74,10 @@ def test_odd_part_decided_by_residues_at_any_period():
     # Over an even period a residue class keeps its parity.
     assert periodic.reduce(sx.ArithProg(2, big)).odd_part_finite()
     assert not periodic.reduce(sx.ArithProg(3, big)).odd_part_finite()
-    assert periodic.Periodic(big, frozenset({0, 2, big - 2}), 1, ()).odd_part_finite()
+    assert periodic.Periodic((1,), ((big, frozenset({0, 2, big - 2})),)).odd_part_finite()
     # Over an odd period every class meets the odd integers.
     assert not periodic.reduce(sx.ArithProg(2, big + 1)).odd_part_finite()
-    assert periodic.Periodic(big + 1, frozenset(), 1, ((1, 4),)).odd_part_finite()
+    assert periodic.Periodic((1, 4), (periodic._ALL, periodic._NONE)).odd_part_finite()
     # isch(odd2, ap(1, big)): blocks {2j-1, 2j} at j = 1 mod big.
     odd2 = sx.generator("odd2")
     wide = periodic.reduce(sx.IntervalSchedule(odd2, sx.ArithProg(1, big)))
@@ -118,7 +117,7 @@ def test_explicit_schedule_blocks_stay_symbolic():
     p = periodic.reduce(s)
     assert p is not None
     assert p.is_finite
-    assert p.blocks == ((2**60, 2**61), (2**62, 2**63))
+    assert p.runs() == ((2**60, 2**61), (2**62, 2**63))
     assert p.member(2**60) and not p.member(2**61)
 
 
@@ -153,78 +152,148 @@ def test_complement_of_a_wide_progression_is_too_complex():
 
 
 # ---------------------------------------------------------------------------
-# Block algebra against the sort-and-merge construction it replaced
+# Piece algebra and size guards
 
 
-def _reference_rebase(p, period, threshold):
-    """Rebase by listing every block, old and new, and sorting them again."""
-    residues = frozenset(r for r in range(period) if r % p.period in p.residues)
-    blocks = list(p.blocks)
-    if threshold > p.threshold and p.residues:
-        blocks += [(n, n + 1) for n in range(p.threshold, threshold)
-                   if n % p.period in p.residues]
-    return periodic.Periodic(period, residues, threshold, periodic.merge_blocks(blocks))
-
-
-def _reference_intersection(a, b):
-    return tuple(
-        (max(a_lo, b_lo), min(a_hi, b_hi))
-        for a_lo, a_hi in a
-        for b_lo, b_hi in b
-        if max(a_lo, b_lo) < min(a_hi, b_hi)
-    )
-
-
-def _reference_combine(a, b, op):
-    period = a.period * b.period // math.gcd(a.period, b.period)
-    threshold = max(a.threshold, b.threshold)
-    ra = _reference_rebase(a, period, threshold)
-    rb = _reference_rebase(b, period, threshold)
-    if op == "union":
-        residues = ra.residues | rb.residues
-        blocks = periodic.merge_blocks(ra.blocks + rb.blocks)
-    else:
-        residues = ra.residues & rb.residues
-        blocks = _reference_intersection(ra.blocks, rb.blocks)
-    return periodic.Periodic(period, residues, threshold, blocks)
-
-
-_blocks = st.lists(st.tuples(st.integers(1, 120), st.integers(1, 12))).map(
-    lambda runs: periodic.merge_blocks((lo, lo + n) for lo, n in runs)
-)
+def _check_pieces(p):
+    """The invariants of a normal form: starts rise strictly from 1,
+    neighbouring patterns differ, and no residue and every residue are the
+    shared patterns."""
+    assert p.starts[0] == 1 and len(p.starts) == len(p.patterns)
+    assert all(x < y for x, y in zip(p.starts, p.starts[1:]))
+    assert all(x != y for x, y in zip(p.patterns, p.patterns[1:]))
+    for q in p.patterns:
+        period, residues = q
+        assert all(0 <= r < period for r in residues)
+        if not residues:
+            assert q is periodic._NONE
+        elif len(residues) == period:
+            assert q is periodic._ALL
 
 
 @st.composite
 def _forms(draw):
-    """A normal form: merged blocks below a threshold, then a residue set."""
-    blocks = draw(_blocks)
-    floor = blocks[-1][1] if blocks else 1
-    threshold = draw(st.integers(floor, floor + 30))
-    period = draw(st.integers(1, 12))
-    residues = draw(st.frozensets(st.integers(0, period - 1)))
-    return periodic.Periodic(period, residues, threshold, blocks)
+    """A normal form from rising pieces of random patterns, and the
+    membership those pieces give."""
+    raw = draw(st.lists(
+        st.tuples(st.integers(1, 40), st.integers(1, 12), st.sets(st.integers(0, 11))),
+        min_size=1, max_size=8,
+    ))
+    pieces, start = [], 1
+    for gap, period, residues in raw:
+        pieces.append((start, periodic._pattern(period, {r % period for r in residues})))
+        start += gap
+
+    def member(n):
+        period, residues = [q for lo, q in pieces if lo <= n][-1]
+        return n % period in residues
+
+    starts, patterns = [], []
+    for start, pattern in pieces:
+        periodic._append(starts, patterns, start, pattern)
+    return periodic.Periodic(tuple(starts), tuple(patterns)), member
 
 
 @settings(max_examples=300, deadline=None)
-@given(_forms(), st.integers(1, 6), st.integers(0, 80))
-def test_rebase_equals_sort_and_merge(p, factor, extra):
-    period, threshold = p.period * factor, p.threshold + extra
-    assert periodic._rebase(p, period, threshold) == _reference_rebase(p, period, threshold)
+@given(_forms(), _forms())
+def test_combine_and_complement_agree_with_member(a, b):
+    (a, in_a), (b, in_b) = a, b
+    union = periodic._combine(a, b, "union")
+    inter = periodic._combine(a, b, "inter")
+    compl = periodic._complement(a)
+    for p in (a, b, union, inter, compl):
+        _check_pieces(p)
+        below = [n for n in range(1, p.threshold) if p.member(n)]
+        assert p.block_count() == len(below)
+        assert p.runs() == periodic.merge_blocks((n, n + 1) for n in below)
+    for n in range(1, 2001):
+        assert a.member(n) == in_a(n)
+        assert union.member(n) == (in_a(n) or in_b(n))
+        assert inter.member(n) == (in_a(n) and in_b(n))
+        assert compl.member(n) == (not in_a(n))
+    # A form combined with the neutral set is that form.
+    nothing, everything = periodic.reduce(sx.Finite(())), periodic.reduce(sx.Tail(1))
+    assert periodic._combine(a, nothing, "union") == a
+    assert periodic._combine(everything, a, "inter") == a
+    assert periodic._complement(compl) == a
 
 
-@settings(max_examples=300, deadline=None)
-@given(_forms(), _forms(), st.sampled_from(["union", "inter"]))
-def test_combine_equals_sort_and_merge(a, b, op):
-    assert periodic._combine(a, b, op) == _reference_combine(a, b, op)
+_BIG = 10**9
+_wide_leaf = st.one_of(
+    st.lists(st.integers(1, _BIG), max_size=4).map(lambda v: sx.Finite(tuple(v))),
+    st.tuples(st.integers(1, _BIG), st.integers(1, _BIG)).map(lambda t: sx.ArithProg(*t)),
+    st.integers(1, _BIG).map(sx.Tail),
+)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_blocks, _blocks)
-def test_block_union_and_intersection_equal_sort_and_merge(a, b):
-    assert periodic._union_blocks(a, b) == periodic.merge_blocks(a + b)
-    assert periodic._intersect_blocks(a, b) == _reference_intersection(a, b)
+def _wide_node(inner):
+    return st.one_of(
+        st.tuples(inner, inner).map(lambda t: sx.Union(*t)),
+        st.tuples(inner, inner).map(lambda t: sx.Inter(*t)),
+        inner.map(sx.Compl),
+        st.tuples(st.sampled_from(["linear", "odd2"]), inner).map(
+            lambda t: sx.IntervalSchedule(sx.generator(t[0]), t[1])
+        ),
+    )
 
 
-def test_rebase_to_the_same_shape_is_the_operand():
-    p = periodic.reduce(sx.Union(sx.Finite((1, 2, 9)), sx.ArithProg(12, 5)))
-    assert periodic._rebase(p, p.period, p.threshold) is p
+_wide_exprs = _wide_node(_wide_node(_wide_node(_wide_leaf) | _wide_leaf) | _wide_leaf)
+
+
+def _size_bounds(s):
+    """The piece count and stored residues that ``reduce``'s docstring
+    bounds its form of s by."""
+    if isinstance(s, sx.Finite):
+        return 2 * len(s.values) + 1, 0
+    if isinstance(s, (sx.ArithProg, sx.Tail)):
+        return 2, 1
+    if isinstance(s, sx.IntervalSchedule):
+        pieces, residues = _size_bounds(s.selector)
+        return pieces + 1, residues + periodic.MAX_PERIOD
+    if isinstance(s, sx.Compl):
+        pieces, residues = _size_bounds(s.inner)
+        return pieces, residues + periodic.MAX_PERIOD
+    (lp, lr), (rp, rr) = _size_bounds(s.left), _size_bounds(s.right)
+    return lp + rp, lr + rr + periodic.MAX_PERIOD
+
+
+@settings(max_examples=150, deadline=None)
+@given(_wide_exprs)
+def test_reduce_stays_within_its_size_bounds(s):
+    # Sized by what it stores, not by time: parameters up to 10^9 either
+    # give a form within the stated bounds or TooComplex.
+    try:
+        p = periodic.reduce(s)
+    except periodic.TooComplex:
+        return
+    _check_pieces(p)
+    max_pieces, max_residues = _size_bounds(s)
+    assert len(p.starts) <= max_pieces
+    shared = (periodic._NONE, periodic._ALL)
+    stored = {id(q): len(q[1]) for q in p.patterns if not any(q is x for x in shared)}
+    assert sum(stored.values()) <= max_residues
+    probes = {1, _BIG + 1} | {n + d for n in p.starts for d in (-1, 0, 1)}
+    for n in sorted(probes - {0}):
+        assert p.member(n) == s.member(n), n
+
+
+@pytest.mark.parametrize("text, density", [
+    ("union(ap(1,2),finite{1999999})", "1/2"),
+    ("union(ap(1,3),tail(1500000))", "1"),
+])
+def test_far_pieces_reduce_in_a_few_pieces(text, density):
+    # A point or a tail far out is one more piece, not a list of the runs
+    # of the progression below it.
+    s = dsl.parse_set(text)
+    periodic.reduce.cache_clear()
+    tracemalloc.start()
+    try:
+        p = periodic.reduce(s)
+        verdict = il.classify(il.density0(), s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.starts) <= 3 and p.density() == Fraction(density)
+    assert (verdict.value, verdict.mode) == (il.VerdictValue.NOT_IN, "Symbolic")
+    assert verdict.evidence == f"density={density}"
+    assert peak < 2**20
